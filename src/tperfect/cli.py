@@ -105,6 +105,18 @@ def _emit(report: Report, out) -> None:
     print(report.to_json(), file=out)
 
 
+_GRAPH_ERRORS = (NotClawFreeError, SizeGuardError, GraphInputError)
+
+
+def _error_result(exc: Exception) -> dict:
+    """The report result for a graph whose decision raised `exc`."""
+    if isinstance(exc, NotClawFreeError):
+        return {"error": "not-claw-free", "centre": exc.centre,
+                "leaves": list(exc.leaves)}
+    kind = "size-guard" if isinstance(exc, SizeGuardError) else "input-error"
+    return {"error": kind, "message": str(exc)}
+
+
 def _cmd_recognize(args, out) -> int:
     worst = 0
     config = _parity_config(args)
@@ -112,15 +124,10 @@ def _cmd_recognize(args, out) -> int:
         t0 = time.perf_counter()
         try:
             decision = is_t_perfect(g, config)
-        except NotClawFreeError as exc:
-            report = Report(
-                "recognize", name, g.n, g.m,
-                {"error": "not-claw-free", "centre": exc.centre,
-                 "leaves": list(exc.leaves)},
-                _config_dict(args),
-                (time.perf_counter() - t0) * 1000,
-            )
-            _emit(report, out)
+        except _GRAPH_ERRORS as exc:
+            _emit(Report("recognize", name, g.n, g.m, _error_result(exc),
+                         _config_dict(args),
+                         (time.perf_counter() - t0) * 1000), out)
             worst = max(worst, INPUT_ERROR)
             continue
         result = {"verdict": decision.verdict, "stats": decision.stats}
@@ -140,9 +147,9 @@ def _cmd_skewed_theta(args, out) -> int:
         t0 = time.perf_counter()
         try:
             verdict = has_skewed_theta(g, config)
-        except GraphInputError as exc:
-            _emit(Report("skewed-theta", name, g.n, g.m,
-                         {"error": str(exc)}, _config_dict(args),
+        except _GRAPH_ERRORS as exc:
+            _emit(Report("skewed-theta", name, g.n, g.m, _error_result(exc),
+                         _config_dict(args),
                          (time.perf_counter() - t0) * 1000), out)
             worst = max(worst, INPUT_ERROR)
             continue
@@ -221,9 +228,9 @@ def _cmd_oracle(args, out) -> int:
             else:
                 answer = has_skewed_prism_bruteforce(g)
                 positive = answer
-        except (SizeGuardError, NotClawFreeError) as exc:
+        except _GRAPH_ERRORS as exc:
             _emit(Report("oracle", name, g.n, g.m,
-                         {"error": str(exc), "question": args.question},
+                         {**_error_result(exc), "question": args.question},
                          _config_dict(args), (time.perf_counter() - t0) * 1000), out)
             worst = max(worst, INPUT_ERROR)
             continue

@@ -110,17 +110,98 @@ def is_two_connected(g: Graph) -> bool:
     return len(blocks(g).blocks) == 1
 
 
+def _cut_vertices_without(g: Graph, u: int) -> set[int] | None:
+    """Cut vertices of G - u, or None when G - u is disconnected.
+
+    One iterative low-point DFS (Hopcroft-Tarjan) over g's adjacency that
+    steps over u in place, so no graph is built: O(n + m).
+    """
+    n = g.n
+    root = 1 if u == 0 else 0
+    disc = [-1] * n
+    low = [0] * n
+    disc[root] = 0
+    timer = 1
+    root_children = 0
+    cut: set[int] = set()
+    stack = [(root, iter(g.neighbors(root)))]
+    while stack:
+        v, it = stack[-1]
+        for w in it:
+            if w == u:
+                continue
+            if disc[w] == -1:
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, iter(g.neighbors(w))))
+                break
+            # a back edge, or the tree edge to v's parent: low[v] never
+            # drops below disc[parent] through it, so the test below holds
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if p == root:
+                    root_children += 1
+                elif low[v] >= disc[p]:
+                    cut.add(p)
+    if timer < n - 1:
+        return None
+    if root_children > 1:
+        cut.add(root)
+    return cut
+
+
+def _first_side(g: Graph, u: int, v: int) -> set[int]:
+    """The component of G - {u, v} that holds its smallest vertex."""
+    start = min({0, 1, 2} - {u, v})
+    seen = {start, u, v}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in g.neighbors(x):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen - {u, v}
+
+
+def _least_separating_pair(g: Graph) -> tuple[int, int] | None:
+    """The lexicographically least pair u < v with G - {u, v} disconnected,
+    or None.  g is connected with at least 4 vertices.
+
+    For each u in ascending order, the least cut vertex v > u of G - u
+    gives the pair; a cut vertex v < u of G - u would have given (v, u)
+    earlier.  When u is itself a cut vertex of g, G - u is disconnected
+    and the pairs (u, v) are tested one by one; some (u, v) then separates
+    unless u = n - 2, so that test runs at most once in full.  O(n(n + m)).
+    """
+    for u in range(g.n):
+        cut = _cut_vertices_without(g, u)
+        if cut is None:
+            for v in range(u + 1, g.n):
+                if len(_first_side(g, u, v)) < g.n - 2:
+                    return u, v
+            continue
+        later = [v for v in cut if v > u]
+        if later:
+            return u, min(later)
+    return None
+
+
 def is_three_connected(g: Graph) -> bool:
     """True iff g is connected, has >= 4 vertices, and no vertex pair
-    disconnects it.  Graphs on < 4 vertices report False by convention."""
+    disconnects it.  Graphs on < 4 vertices report False by convention.
+
+    One cut-vertex DFS of G - u per vertex u: O(n(n + m)).
+    """
     if g.n < 4 or not g.is_connected():
         return False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            h, _ = g.induced(w for w in range(g.n) if w not in (u, v))
-            if not h.is_connected():
-                return False
-    return True
+    return _least_separating_pair(g) is None
 
 
 @dataclass(frozen=True)
@@ -141,27 +222,25 @@ class Separation:
 
 def find_two_separation(g: Graph) -> Separation | None:
     """A separation of order exactly 2 whose middle {u,v} is a minimum
-    vertex cut.  Pairs are scanned lexicographically, so the result is
-    deterministic.  Returns None when g is 3-connected (caller error) or
-    too small."""
+    vertex cut.  The middle is the lexicographically least pair u < v
+    that disconnects g, and the first side is the component of G - {u, v}
+    holding its smallest vertex, plus u and v; the second side holds the
+    other components, plus u and v.  Returns None when g is 3-connected
+    (caller error) or too small.
+
+    One cut-vertex DFS of G - u per vertex u: O(n(n + m)).
+    """
     if g.n < 4 or not g.is_connected():
         return None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            h, old_to_new = g.induced(w for w in range(g.n) if w not in (u, v))
-            comps = h.connected_components()
-            if len(comps) <= 1:
-                continue
-            new_to_old = {i: w for w, i in old_to_new.items()}
-            first = {new_to_old[x] for x in comps[0]}
-            rest = {
-                new_to_old[x] for comp in comps[1:] for x in comp
-            }
-            side1 = frozenset(first | {u, v})
-            side2 = frozenset(rest | {u, v})
-            check(len(side1) < g.n and len(side2) < g.n, "separation sides must be proper")
-            return Separation(side1, side2)
-    return None
+    pair = _least_separating_pair(g)
+    if pair is None:
+        return None
+    u, v = pair
+    first = _first_side(g, u, v)
+    side1 = frozenset(first | {u, v})
+    side2 = frozenset(range(g.n)).difference(first)
+    check(len(side1) < g.n and len(side2) < g.n, "separation sides must be proper")
+    return Separation(side1, side2)
 
 
 def bfs_spanning_tree(g: Graph, root: int = 0) -> set[Edge]:
@@ -192,7 +271,7 @@ def spanning_tree_fundamental_cycle(
     e = edge_key(*e)
     if e in tree:
         raise GraphInputError(f"edge {e} already in the spanning tree")
-    if e not in set(g.edges):
+    if not (0 <= e[0] and e[1] < g.n and g.has_edge(*e)):
         raise GraphInputError(f"edge {e} not in the graph")
     adj: dict[int, list[int]] = {}
     for u, v in tree:

@@ -8,7 +8,7 @@ can be pulled back to the original input through any chain of reductions.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..errors import GraphInputError
 
@@ -110,7 +110,7 @@ class Graph:
 
     def without_edge(self, u: int, v: int) -> "Graph":
         e = edge_key(u, v)
-        if e not in set(self._edges):
+        if not (0 <= e[0] and e[1] < self.n and self.has_edge(u, v)):
             raise GraphInputError(f"edge {e} not present")
         return Graph(self.n, tuple(f for f in self._edges if f != e))
 
@@ -196,22 +196,6 @@ def identify_vertices(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
     return Graph(g.n - 1, sorted(es)), old_to_new
 
 
-def union_of_edges(n: int, *edge_sets: Iterable[Edge]) -> Graph:
-    """Graph on 0..n-1 whose edge set is the union of the given sets."""
-    es = set()
-    for group in edge_sets:
-        for u, v in group:
-            es.add(edge_key(u, v))
-    return Graph(n, sorted(es))
-
-
-def walk_is_path(g: Graph, seq: list[int]) -> bool:
-    """True iff seq is a simple path in g (consecutive vertices adjacent)."""
-    if len(set(seq)) != len(seq):
-        return False
-    return all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
-
-
 def path_edges(seq: list[int]) -> list[Edge]:
     return [edge_key(a, b) for a, b in zip(seq, seq[1:])]
 
@@ -256,34 +240,3 @@ def bfs_path(
                 return path
             queue.append(y)
     return None
-
-
-def iter_edge_sets_components(
-    edges: Iterable[Edge],
-) -> Iterator[tuple[set[int], set[Edge]]]:
-    """Connected components of the subgraph formed by an edge list.
-
-    Yields (vertex set, edge set) pairs ordered by smallest vertex.
-    Vertices are only those incident to the given edges.
-    """
-    adj: dict[int, set[int]] = {}
-    es = {edge_key(u, v) for u, v in edges}
-    for u, v in es:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp_v = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp_v.add(y)
-                    stack.append(y)
-        comp_e = {e for e in es if e[0] in comp_v}
-        yield comp_v, comp_e

@@ -16,6 +16,24 @@ def random_graph(rnd, n, p=0.4):
     return Graph(n, es)
 
 
+def cycle_blowup(sizes):
+    """Clique blow-up of a cycle: position i becomes a clique of
+    sizes[i] vertices, joined completely to the cliques next to it."""
+    cliques, start = [], 0
+    for s in sizes:
+        cliques.append(range(start, start + s))
+        start += s
+    es = set()
+    for i, q in enumerate(cliques):
+        es.update(combinations(q, 2))
+        es.update(
+            (min(a, b), max(a, b))
+            for a in q
+            for b in cliques[(i + 1) % len(cliques)]
+        )
+    return Graph(start, sorted(es))
+
+
 @pytest.fixture(scope="session")
 def small_random_graphs():
     rnd = random.Random(7)

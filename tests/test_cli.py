@@ -2,9 +2,15 @@ import io
 import json
 
 import pytest
+from conftest import cycle_blowup
 
 from tperfect.cli import run_cli
-from tperfect.core import complete_graph, squared_cycle_minus_vertex
+from tperfect.core import (
+    complete_graph,
+    cycle_graph,
+    squared_cycle,
+    squared_cycle_minus_vertex,
+)
 from tperfect.io import graph_to_graph6, serialize
 from tperfect.linegraph import line_graph
 
@@ -150,3 +156,37 @@ class TestCorpusCheck:
         code, text = run(["recognize", str(p)])
         assert code == 1
         assert len(reports(text)) == 2
+
+
+class TestErrorIsolation:
+    def test_size_guard_is_reported_per_graph(self, tmp_path):
+        # the middle graph trips the induced-path size guard; the graphs on
+        # either side of it are still reported
+        p = tmp_path / "guarded.g6"
+        graphs = [
+            squared_cycle(7),
+            cycle_blowup([1] * 10 + [2] + [1] * 10 + [2]),
+            squared_cycle(10),
+        ]
+        p.write_text("".join(graph_to_graph6(g) + "\n" for g in graphs))
+        code, text = run(["recognize", str(p)])
+        recs = reports(text)
+        assert code == 2
+        assert [r["input"]["name"] for r in recs] == [f"{p}[{i}]" for i in range(3)]
+        assert recs[0]["result"]["verdict"] == "not-t-perfect"
+        assert recs[1]["result"]["error"] == "size-guard"
+        assert "exceeds cap 20" in recs[1]["result"]["message"]
+        assert recs[2]["result"]["verdict"] == "not-t-perfect"
+
+    def test_skewed_theta_reports_input_error_per_graph(self, tmp_path):
+        p = tmp_path / "dense.g6"
+        p.write_text(
+            graph_to_graph6(line_graph(complete_graph(4))[0]) + "\n"
+            + graph_to_graph6(cycle_graph(5)) + "\n"
+        )
+        code, text = run(["skewed-theta", str(p)])
+        recs = reports(text)
+        assert code == 2
+        assert [r["input"]["name"] for r in recs] == [f"{p}[0]", f"{p}[1]"]
+        assert recs[0]["result"]["error"] == "input-error"
+        assert "outcome" in recs[1]["result"]

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import cycle_blowup, random_graph
 
 from tperfect.core import (
     Graph,
@@ -23,7 +24,7 @@ from tperfect.core import (
     squared_cycle_minus_vertex,
     theta_graph,
 )
-from tperfect.core.connectivity import bfs_spanning_tree
+from tperfect.core.connectivity import Separation, bfs_spanning_tree
 from tperfect.errors import GraphInputError, SizeGuardError
 
 
@@ -137,6 +138,72 @@ class TestConnectivityOrders:
             assert h.is_connected()
         assert is_three_connected(g)
         assert find_two_separation(g) is None
+
+
+def pair_scan_two_separation(g):
+    """Reference for `find_two_separation`: the plain pair scan, which
+    builds the induced graph G - {u, v} for every pair u < v in
+    lexicographic order and stops at the first disconnected one."""
+    if g.n < 4 or not g.is_connected():
+        return None
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            h, old_to_new = g.induced(w for w in range(g.n) if w not in (u, v))
+            comps = h.connected_components()
+            if len(comps) <= 1:
+                continue
+            new_to_old = {i: w for w, i in old_to_new.items()}
+            first = {new_to_old[x] for x in comps[0]}
+            rest = {new_to_old[x] for comp in comps[1:] for x in comp}
+            return Separation(frozenset(first | {u, v}), frozenset(rest | {u, v}))
+    return None
+
+
+class TestLinearPassConnectivity:
+    def test_matches_pair_scan_reference(self):
+        rnd = random.Random(31)
+        outcomes = {"disconnected": 0, "separated": 0, "three-connected": 0}
+        least_pair_at_cut_vertex = 0
+        for _ in range(3000):
+            n = rnd.randint(1, 14)
+            g = random_graph(rnd, n, rnd.uniform(0.1, 0.9))
+            want = pair_scan_two_separation(g)
+            assert find_two_separation(g) == want
+            assert is_three_connected(g) == (
+                n >= 4 and g.is_connected() and want is None
+            )
+            if not g.is_connected():
+                outcomes["disconnected"] += 1
+            elif want is not None:
+                outcomes["separated"] += 1
+                # G - u is disconnected, so the per-pair scan answered
+                if min(want.cut) in blocks(g).cut_vertices:
+                    least_pair_at_cut_vertex += 1
+            elif n >= 4:
+                outcomes["three-connected"] += 1
+        assert min(outcomes.values()) >= 300, outcomes
+        assert least_pair_at_cut_vertex >= 50
+
+    def test_agrees_with_networkx_node_connectivity(self):
+        nx = pytest.importorskip("networkx")
+        rnd = random.Random(47)
+        cases = [
+            random_graph(rnd, n, rnd.uniform(1.5, 8.0) / n)
+            for n in (rnd.randint(1, 40) for _ in range(150))
+        ]
+        cases += [squared_cycle(n) for n in (5, 6, 7, 8, 9, 10, 13, 25, 50, 100, 200)]
+        cases += [
+            cycle_blowup([rnd.choice((1, 1, 2, 3)) for _ in range(k)])
+            for k in (rnd.randint(4, 12) for _ in range(60))
+        ]
+        answers = []
+        for g in cases:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges)
+            answers.append(nx.node_connectivity(h) >= 3)
+            assert is_three_connected(g) == answers[-1], g.edges
+        assert answers.count(True) >= 40 and answers.count(False) >= 40
 
 
 class TestFundamentalCycles:
