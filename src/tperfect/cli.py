@@ -48,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
 class Report:
     command: str
     input_name: str
-    n: int
-    m: int
+    n: int | None  # None when the graph could not be parsed
+    m: int | None
     result: dict
     config: dict = field(default_factory=dict)
     timing_ms: float = 0.0
@@ -65,7 +65,10 @@ class Report:
         return json.dumps(payload, sort_keys=True)
 
 
-def _read_graphs(path: str, fmt: str | None) -> list[tuple[str, Graph]]:
+def _read_graphs(path: str, fmt: str | None) -> list[tuple[str, GraphDocument]]:
+    """The named documents of an input file, one per graph.  They are
+    parsed one at a time by `_each_graph`, so a malformed graph6 line
+    costs only its own report."""
     if path == "-":
         text = sys.stdin.read()
         name = "<stdin>"
@@ -88,10 +91,10 @@ def _read_graphs(path: str, fmt: str | None) -> list[tuple[str, Graph]]:
             raise GraphInputError("no graphs in input")
         return [
             (f"{name}[{i}]" if len(lines) > 1 else name,
-             parse(GraphDocument("graph6", ln)))
+             GraphDocument("graph6", ln))
             for i, ln in enumerate(lines)
         ]
-    return [(name, parse(GraphDocument("edge-list", text)))]
+    return [(name, GraphDocument("edge-list", text))]
 
 
 def _parity_config(args) -> ParityConfig:
@@ -109,7 +112,7 @@ _GRAPH_ERRORS = (NotClawFreeError, SizeGuardError, GraphInputError)
 
 
 def _error_result(exc: Exception) -> dict:
-    """The report result for a graph whose decision raised `exc`."""
+    """The report result for a graph whose parse or decision raised `exc`."""
     if isinstance(exc, NotClawFreeError):
         return {"error": "not-claw-free", "centre": exc.centre,
                 "leaves": list(exc.leaves)}
@@ -117,94 +120,85 @@ def _error_result(exc: Exception) -> dict:
     return {"error": kind, "message": str(exc)}
 
 
-def _cmd_recognize(args, out) -> int:
+def _each_graph(command: str, args, out, decide, error_fields=None) -> int:
+    """Parse and decide every graph of the input file in turn, one report
+    each.  `decide(g)` returns (result, exit code); a graph whose parse or
+    decision raises gets an error report (plus `error_fields`) and exit
+    code 2, and the run goes on.  Returns the worst exit code."""
     worst = 0
-    config = _parity_config(args)
-    for name, g in _read_graphs(args.file, args.format):
+    for name, doc in _read_graphs(args.file, args.format):
         t0 = time.perf_counter()
+        n = m = None
         try:
-            decision = is_t_perfect(g, config)
+            g = parse(doc)
+            n, m = g.n, g.m
+            result, code = decide(g)
         except _GRAPH_ERRORS as exc:
-            _emit(Report("recognize", name, g.n, g.m, _error_result(exc),
-                         _config_dict(args),
-                         (time.perf_counter() - t0) * 1000), out)
-            worst = max(worst, INPUT_ERROR)
-            continue
+            result, code = {**_error_result(exc), **(error_fields or {})}, INPUT_ERROR
+        _emit(Report(command, name, n, m, result, _config_dict(args),
+                     (time.perf_counter() - t0) * 1000), out)
+        worst = max(worst, code)
+    return worst
+
+
+def _cmd_recognize(args, out) -> int:
+    config = _parity_config(args)
+
+    def decide(g):
+        decision = is_t_perfect(g, config)
         result = {"verdict": decision.verdict, "stats": decision.stats}
         if args.trace:
             result["certificate"] = [e.to_json() for e in decision.certificate]
-        report = Report("recognize", name, g.n, g.m, result,
-                        _config_dict(args), (time.perf_counter() - t0) * 1000)
-        _emit(report, out)
-        worst = max(worst, 0 if decision.t_perfect else 1)
-    return worst
+        return result, 0 if decision.t_perfect else 1
+
+    return _each_graph("recognize", args, out, decide)
 
 
 def _cmd_skewed_theta(args, out) -> int:
-    worst = 0
     config = _parity_config(args)
-    for name, g in _read_graphs(args.file, args.format):
-        t0 = time.perf_counter()
-        try:
-            verdict = has_skewed_theta(g, config)
-        except _GRAPH_ERRORS as exc:
-            _emit(Report("skewed-theta", name, g.n, g.m, _error_result(exc),
-                         _config_dict(args),
-                         (time.perf_counter() - t0) * 1000), out)
-            worst = max(worst, INPUT_ERROR)
-            continue
+
+    def decide(g):
+        verdict = has_skewed_theta(g, config)
         result = {"outcome": verdict.outcome}
         if args.trace:
             result["trace"] = [[rule, info] for rule, info in verdict.trace]
-        _emit(Report("skewed-theta", name, g.n, g.m, result,
-                     _config_dict(args), (time.perf_counter() - t0) * 1000), out)
-        worst = max(worst, 1 if verdict.contains else 0)
-    return worst
+        return result, 1 if verdict.contains else 0
+
+    return _each_graph("skewed-theta", args, out, decide)
 
 
 def _cmd_line_root(args, out) -> int:
-    worst = 0
-    for name, g in _read_graphs(args.file, args.format):
-        t0 = time.perf_counter()
+    def decide(g):
         roots = []
         mapping = {}
         offset = 0
-        ok = True
         for comp in g.connected_components():
             sub, old_to_new = g.induced(comp)
             rm = recognize_line_graph(sub)
             if rm is None:
-                ok = False
-                break
+                return {"is_line_graph": False}, 1
             new_to_old = {i: o for o, i in old_to_new.items()}
             for (a, b), vtx in sorted(rm.edge_to_vertex.items()):
                 mapping[f"{a + offset},{b + offset}"] = new_to_old[vtx]
             roots.append(rm.root)
             offset += rm.root.n
-        if ok and roots:
-            total = Graph(
-                offset,
-                [
-                    (u + off, v + off)
-                    for root, off in zip(
-                        roots, _offsets(roots)
-                    )
-                    for u, v in root.edges
-                ],
-            )
-            result = {
-                "is_line_graph": True,
-                "root_graph6": graph_to_graph6(total),
-                "root_edge_to_vertex": mapping,
-            }
-            code = 0
-        else:
-            result = {"is_line_graph": False}
-            code = 1
-        _emit(Report("line-root", name, g.n, g.m, result,
-                     _config_dict(args), (time.perf_counter() - t0) * 1000), out)
-        worst = max(worst, code)
-    return worst
+        if not roots:
+            return {"is_line_graph": False}, 1
+        total = Graph(
+            offset,
+            [
+                (u + off, v + off)
+                for root, off in zip(roots, _offsets(roots))
+                for u, v in root.edges
+            ],
+        )
+        return {
+            "is_line_graph": True,
+            "root_graph6": graph_to_graph6(total),
+            "root_edge_to_vertex": mapping,
+        }, 0
+
+    return _each_graph("line-root", args, out, decide)
 
 
 def _offsets(roots):
@@ -215,30 +209,19 @@ def _offsets(roots):
 
 
 def _cmd_oracle(args, out) -> int:
-    worst = 0
-    for name, g in _read_graphs(args.file, args.format):
-        t0 = time.perf_counter()
-        try:
-            if args.question == "tperfect":
-                answer = is_t_perfect_bruteforce(g)
-                positive = not answer
-            elif args.question == "theta":
-                answer = has_skewed_theta_bruteforce(g)
-                positive = answer
-            else:
-                answer = has_skewed_prism_bruteforce(g)
-                positive = answer
-        except _GRAPH_ERRORS as exc:
-            _emit(Report("oracle", name, g.n, g.m,
-                         {**_error_result(exc), "question": args.question},
-                         _config_dict(args), (time.perf_counter() - t0) * 1000), out)
-            worst = max(worst, INPUT_ERROR)
-            continue
-        _emit(Report("oracle", name, g.n, g.m,
-                     {"question": args.question, "answer": bool(answer)},
-                     _config_dict(args), (time.perf_counter() - t0) * 1000), out)
-        worst = max(worst, 1 if positive else 0)
-    return worst
+    def decide(g):
+        if args.question == "tperfect":
+            answer = is_t_perfect_bruteforce(g)
+            positive = not answer
+        elif args.question == "theta":
+            answer = has_skewed_theta_bruteforce(g)
+            positive = answer
+        else:
+            answer = has_skewed_prism_bruteforce(g)
+            positive = answer
+        return {"question": args.question, "answer": bool(answer)}, 1 if positive else 0
+
+    return _each_graph("oracle", args, out, decide, {"question": args.question})
 
 
 def _cmd_gen(args, out) -> int:

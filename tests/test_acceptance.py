@@ -14,7 +14,7 @@ import time
 import pytest
 
 from tperfect.cli import run_cli
-from tperfect.core import make_named
+from tperfect.core import Graph, is_two_connected, make_named
 from tperfect.corpus import (
     enumerate_connected_graphs,
     generate_corpus,
@@ -166,6 +166,17 @@ def test_criterion_6_structural_assertions_quiet():
     )
 
 
+def _fit_exponent(sizes, values):
+    """Least-squares slope of log(values) against log(sizes)."""
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(v) for v in values]
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
+        (x - xbar) ** 2 for x in xs
+    )
+
+
 def test_criterion_7_polynomial_scaling_smoke():
     rnd = random.Random(555)
     sizes = (50, 100, 200, 400)
@@ -177,13 +188,7 @@ def test_criterion_7_polynomial_scaling_smoke():
             g, _ = line_graph(root)
             counts.append(max(1, is_t_perfect(g).stats["rule_applications"]))
         means.append(sum(counts) / len(counts))
-    xs = [math.log(n) for n in sizes]
-    ys = [math.log(c) for c in means]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
-        (x - xbar) ** 2 for x in xs
-    )
+    slope = _fit_exponent(sizes, means)
     assert slope <= 2.5, f"fit exponent {slope:.2f} exceeds 2.5"
 
     big_times = []
@@ -198,6 +203,63 @@ def test_criterion_7_polynomial_scaling_smoke():
         f"\nACCEPTANCE 7 (polynomial scaling smoke): PASS - fit exponent "
         f"{slope:.2f} <= 2.5 over n={sizes}, 500-vertex roots decided in "
         f"{max(big_times):.2f} s worst case"
+    )
+
+
+def _random_bridgeless_cubic_graph(rnd, n):
+    """Pairing model: three points per vertex, matched at random, kept
+    when the result is simple and 2-connected (for a cubic graph, the
+    same as connected and bridgeless)."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rnd.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            g = Graph(n, sorted(edges))
+            if is_two_connected(g):
+                return g
+
+
+def _subdivided_cubic_root(rnd, n_cubic):
+    """A bridgeless cubic graph with every edge but one subdivided once.
+    Every path between cubic vertices is odd exactly when it uses the
+    whole edge, and at most one path of a theta can use it, so no skewed
+    theta exists."""
+    cubic = _random_bridgeless_cubic_graph(rnd, n_cubic)
+    kept = rnd.choice(cubic.edges)
+    edges = [kept]
+    for u, v in cubic.edges:
+        if (u, v) != kept:
+            mid = n_cubic + len(edges) // 2
+            edges += [(u, mid), (mid, v)]
+    return Graph(n_cubic + len(edges) // 2, edges)
+
+
+def test_criterion_9_one_odd_edge_theta_scaling():
+    # the family on which theta phase two used to branch exponentially
+    rnd = random.Random(2013)
+    sizes = (20, 50, 100, 200)
+    mean_s, mean_rules = [], []
+    for n in sizes:
+        times, rules = [], []
+        for _ in range(3):
+            root = _subdivided_cubic_root(rnd, n)
+            t0 = time.perf_counter()
+            verdict = has_skewed_theta(root)
+            times.append(time.perf_counter() - t0)
+            assert not verdict.contains, (n, root.edges)
+            rules.append(len(verdict.trace))
+        mean_s.append(sum(times) / len(times))
+        mean_rules.append(sum(rules) / len(rules))
+    time_slope = _fit_exponent(sizes, mean_s)
+    rule_slope = _fit_exponent(sizes, mean_rules)
+    assert time_slope <= 2.5, f"wall-time exponent {time_slope:.2f} exceeds 2.5"
+    assert rule_slope <= 2.5, f"rule-count exponent {rule_slope:.2f} exceeds 2.5"
+    print(
+        f"\nACCEPTANCE 9 (one-odd-edge theta scaling): PASS - no skewed theta "
+        f"in 12 subdivided cubic roots; wall-time exponent {time_slope:.2f}, "
+        f"rule-count exponent {rule_slope:.2f} <= 2.5 over {sizes} cubic "
+        f"vertices; mean ms {[round(t * 1000, 1) for t in mean_s]}"
     )
 
 

@@ -190,3 +190,19 @@ class TestErrorIsolation:
         assert [r["input"]["name"] for r in recs] == [f"{p}[0]", f"{p}[1]"]
         assert recs[0]["result"]["error"] == "input-error"
         assert "outcome" in recs[1]["result"]
+
+    def test_malformed_graph6_line_is_reported_per_graph(self, tmp_path):
+        # the bad middle line gets its own report; both graphs around it
+        # are still decided
+        p = tmp_path / "bad-line.g6"
+        p.write_text("Bw\n!!bad\nBw\n")
+        code, text = run(["recognize", str(p)])
+        recs = reports(text)
+        assert code == 2
+        assert [r["input"]["name"] for r in recs] == [f"{p}[{i}]" for i in range(3)]
+        assert recs[0]["result"]["verdict"] == "t-perfect"
+        assert recs[1]["result"] == {
+            "error": "input-error",
+            "message": "bad graph6 header byte '!'",
+        }
+        assert recs[2]["result"]["verdict"] == "t-perfect"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -234,7 +235,7 @@ class TestOneOddEdge:
         verdict = one_odd_edge(g, view)
         assert verdict.contains
         assert has_skewed_theta_bruteforce(g)
-        assert any("two-connected" in rule or "fan" in rule for rule, _ in verdict.trace)
+        assert ("opposite-side-branch-pair", {"pair": [0, 2]}) in verdict.trace
 
     def test_line_four_instance(self):
         # x adjacent to a 4-cycle at y and two middles: removing x leaves
@@ -260,7 +261,92 @@ class TestOneOddEdge:
         assert view.odd_edges == ((4, 5),)
         verdict = one_odd_edge(g, view)
         assert verdict.contains == has_skewed_theta_bruteforce(g)
-        assert any("suppress" in rule or "small" in rule for rule, _ in verdict.trace)
+        assert any(rule == "one-sided-branch-vertices" for rule, _ in verdict.trace)
+
+
+    def test_oracle_sweep_of_one_odd_edge_instances(self):
+        # a random subcubic graph keeps the edges that a 2-colouring of a
+        # BFS forest makes even-class, plus one odd-class edge e: the
+        # colouring is then a 2-colouring of G - e
+        rnd = random.Random(4141)
+        kinds = Counter()
+        while sum(kinds.values()) < 6000:
+            g = random_subcubic_graph(rnd, rnd.randint(4, 14))
+            labels = _bfs_forest_colouring(g)
+            odd = [e for e in g.edges if labels[e[0]] == labels[e[1]]]
+            if not odd:
+                continue
+            e = rnd.choice(odd)
+            h = Graph(g.n, [f for f in g.edges if f not in odd or f == e])
+            view = make_view(h, labels)
+            assert view.odd_edges == (e,)
+            verdict = one_odd_edge(h, view)
+            assert verdict.contains == has_skewed_theta_bruteforce(h), h.edges
+            kinds[verdict.trace[-1][0]] += 1
+        assert kinds["opposite-side-branch-pair"] >= 1000
+        assert kinds["one-sided-branch-vertices"] >= 1000
+        # degree-3 vertices on both sides but in different classes: the
+        # refinement has to split
+        assert kinds["no-opposite-side-branch-pair"] >= 20
+
+    @pytest.mark.parametrize("k", [3, 9, 39, 79])
+    def test_ring_of_beads_has_no_skewed_theta(self, k):
+        # two beads are joined by two ring edges only, so every bead is
+        # its own class of three edge-disjoint paths, and each bead has
+        # all its degree-3 vertices on one side
+        g, labels = _bead_ring(k)
+        view = make_view(g, labels)
+        assert len(view.odd_edges) == 1
+        assert g.n == 14 * k
+        verdict = one_odd_edge(g, view)
+        assert not verdict.contains
+        assert verdict.trace == (
+            ("no-opposite-side-branch-pair", {"n": g.n, "cubic": 6 * k}),
+        )
+
+
+def _bfs_forest_colouring(g):
+    labels = [-1] * g.n
+    for s in range(g.n):
+        if labels[s] != -1:
+            continue
+        labels[s] = 0
+        queue = [s]
+        for x in queue:
+            for y in g.sorted_neighbors(x):
+                if labels[y] == -1:
+                    labels[y] = labels[x] ^ 1
+                    queue.append(y)
+    return labels
+
+
+def _bead_ring(k):
+    """k >= 3 beads in a ring, k odd.  Bead i is K4 on side i % 2 with
+    two disjoint edges subdivided three times, their middle vertices
+    being the ports, and the other four edges subdivided once; a ring
+    edge joins the second port of each bead to the first port of the
+    next.  Consecutive beads lie on opposite sides, except across the
+    closing ring edge, which is the one odd-class edge."""
+    edges, labels, ports = [], [], []
+
+    def vertex(side):
+        labels.append(side)
+        return len(labels) - 1
+
+    for i in range(k):
+        s = i % 2
+        a = [vertex(s) for _ in range(4)]
+        bead_ports = []
+        for x, y in ((0, 1), (2, 3)):
+            p1, port, p2 = vertex(1 - s), vertex(s), vertex(1 - s)
+            edges += [(a[x], p1), (p1, port), (port, p2), (p2, a[y])]
+            bead_ports.append(port)
+        for x, y in ((0, 2), (0, 3), (1, 2), (1, 3)):
+            mid = vertex(1 - s)
+            edges += [(a[x], mid), (mid, a[y])]
+        ports.append(bead_ports)
+    edges += [(ports[i][1], ports[(i + 1) % k][0]) for i in range(k)]
+    return Graph(len(labels), edges), labels
 
 
 class TestDispatcher:
