@@ -2,10 +2,12 @@
 
 A skewed theta is a subgraph made of three edge-disjoint paths joining two
 branch vertices, two paths of odd length and one of even length.  The
-decision procedure runs per 2-connected block in two phases: starting from
-the bipartition with every vertex on one side (all edges odd-class), phase
-one repeatedly either certifies a skewed theta or finds an edge cut with
-more odd- than even-class edges and flips one side of it, strictly
+decision procedure runs per 2-connected block in two phases.  Phase one
+starts from the 2-colouring of a BFS spanning tree, so tree edges are
+even-class, the even graph is connected, and the odd-class edges are the
+non-tree edges closing odd fundamental cycles (none in a bipartite block).
+It then repeatedly either certifies a skewed theta or finds an edge cut
+with more odd- than even-class edges and flips one side of it, strictly
 shrinking the odd-edge count.  Once at most two odd-class edges remain,
 phase two decides directly; since a cycle is odd exactly when it carries
 an odd number of odd-class edges, every skewed theta contains one of them.
@@ -103,6 +105,26 @@ def make_view(g: Graph, labels) -> OddEdgeView:
 def trivial_view(g: Graph) -> OddEdgeView:
     """The start state: one side holds every vertex, all edges odd-class."""
     return make_view(g, (0,) * g.n)
+
+
+def spanning_tree_view(g: Graph) -> OddEdgeView:
+    """Phase one's start state: each component 2-coloured by BFS depth
+    parity from its smallest vertex.  Tree edges are even-class, so the
+    even graph has g's components, and the odd-class edges are the
+    non-tree edges closing odd fundamental cycles: at most m - n + 1 on a
+    connected graph, and none exactly when g is bipartite."""
+    labels = [-1] * g.n
+    for s in range(g.n):
+        if labels[s] != -1:
+            continue
+        labels[s] = 0
+        queue = [s]
+        for x in queue:
+            for y in g.sorted_neighbors(x):
+                if labels[y] == -1:
+                    labels[y] = labels[x] ^ 1
+                    queue.append(y)
+    return make_view(g, labels)
 
 
 def view_for_subgraph(view: OddEdgeView, sub: Graph, old_to_new: dict[int, int]) -> OddEdgeView:
@@ -461,13 +483,17 @@ def decide_few_odd_edges(
     through the small-cut pipeline."""
     if len(view.odd_edges) > 2:
         raise GraphInputError("dispatcher expects at most two odd-class edges")
+    done = ("no-remaining-odd-structure", {"n": h.n, "m": h.m})
+    if not view.odd_edges:
+        return ThetaVerdict(False, (done,))
     trace: list[tuple[str, dict]] = []
-    dec = blocks(h)
-    for blk in dec.blocks:
+    for blk in blocks(h).blocks:
         if len(blk) < 3:
             continue
-        sub, old_to_new = h.induced(blk)
-        sview = view_for_subgraph(view, sub, old_to_new)
+        sub, sview = h, view
+        if len(blk) < h.n:
+            sub, old_to_new = h.induced(blk)
+            sview = view_for_subgraph(view, sub, old_to_new)
         k = len(sview.odd_edges)
         if k == 0:
             continue
@@ -482,7 +508,7 @@ def decide_few_odd_edges(
         trace.extend(verdict.trace)
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))
-    trace.append(("no-remaining-odd-structure", {"n": h.n, "m": h.m}))
+    trace.append(done)
     return ThetaVerdict(False, tuple(trace))
 
 
@@ -641,24 +667,13 @@ def two_odd_decide(
 
     f.validate_against(h)
 
-    # look for an exact cut inside {o1, o2, one even edge}; flipping it
-    # leaves at most one odd edge
-    even_edges = [e for e in h.edges if not view.is_odd(e)]
-    for extra in [None] + even_edges:
-        removal = {o1, o2} | ({extra} if extra else set())
-        probe = h.without_edges(removal)
-        comps = probe.connected_components()
-        if len(comps) < 2:
-            continue
-        for comp in comps:
-            cand = exact_cut(h, comp)
-            n_odd = view.count_odd(cand.edges)
-            if n_odd > len(cand.edges) - n_odd:
-                flipped = flip(view, cand)
-                check(len(flipped.odd_edges) <= 1, "small-cut flip leaves at most one odd edge")
-                trace.append(("flip-on-small-cut", {"cut": len(cand.edges)}))
-                verdict = one_odd_edge(h, flipped, config)
-                return ThetaVerdict(verdict.contains, tuple(trace) + verdict.trace)
+    cand = small_flip_cut(h, view)
+    if cand is not None:
+        flipped = flip(view, cand)
+        check(len(flipped.odd_edges) <= 1, "small-cut flip leaves at most one odd edge")
+        trace.append(("flip-on-small-cut", {"cut": len(cand.edges)}))
+        verdict = one_odd_edge(h, flipped, config)
+        return ThetaVerdict(verdict.contains, tuple(trace) + verdict.trace)
 
     check(len(f.edges) == 4, "past the small-cut scan the given cut has four edges")
     e1, e2 = sorted(f.edges - {o1, o2})
@@ -702,6 +717,33 @@ def two_odd_decide(
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))
     return ThetaVerdict(False, tuple(trace))
+
+
+def small_flip_cut(h: Graph, view: OddEdgeView) -> EdgeCut | None:
+    """An exact cut inside {o1, o2, one even edge} holding both odd-class
+    edges of a 2-connected h, or None; flipping it leaves at most one odd
+    edge.
+
+    The cut is {o1, o2} when R = h - {o1, o2} is disconnected.  Otherwise
+    it is {o1, o2, e} for the least even edge e that is a bridge of R and
+    separates the ends of both odd edges in R, that is, lies on a path
+    joining each pair of ends.  Its side is the component holding vertex
+    0.  One block pass and two BFS paths over R: O(m).
+    """
+    o1, o2 = view.odd_edges
+    rest = h.without_edges((o1, o2))
+    if rest.is_connected():
+        bridges = {(min(b), max(b)) for b in blocks(rest).blocks if len(b) == 2}
+        for x, y in (o1, o2):
+            bridges &= set(path_edges(bfs_path(rest, {x}, {y})))
+        if not bridges:
+            return None
+        rest = rest.without_edge(*min(bridges))
+    comps = rest.connected_components()
+    check(len(comps) == 2, "a small cut of a 2-connected graph leaves two sides")
+    cut = exact_cut(h, comps[0])
+    check(o1 in cut.edges and o2 in cut.edges, "the small cut carries both odd edges")
+    return cut
 
 
 def _solve_side_linkage(h, side, x_t, y_t, g1, g2, config):
@@ -812,10 +854,10 @@ def has_skewed_theta(
 ) -> ThetaVerdict:
     """Decide whether a subcubic graph contains a skewed theta.
 
-    Per 2-connected block: start with all vertices on one side, reduce the
-    odd-class edge count through triad cuts and flips, then dispatch the
-    remaining at-most-two odd edges.  The verdict is the disjunction over
-    blocks.
+    Per 2-connected block: start from a BFS spanning-tree 2-colouring,
+    reduce the odd-class edge count through triad cuts and flips, then
+    dispatch the remaining at-most-two odd edges.  The verdict is the
+    disjunction over blocks.
     """
     if not h.is_subcubic():
         raise GraphInputError("skewed-theta detection expects a subcubic graph")
@@ -824,9 +866,9 @@ def has_skewed_theta(
     for blk in dec.blocks:
         if len(blk) < 5:
             continue  # a skewed theta needs five vertices
-        sub, old_to_new = h.induced(blk)
+        sub = h.induced(blk)[0] if len(blk) < h.n else h
         trace.append(("block", {"vertices": sorted(blk)}))
-        view = trivial_view(sub)
+        view = spanning_tree_view(sub)
         while len(view.odd_edges) >= 3:
             o1, o2, o3 = view.odd_edges[:3]
             res = triads(sub, view, o1, o2, o3)

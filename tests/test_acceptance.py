@@ -263,6 +263,44 @@ def test_criterion_9_one_odd_edge_theta_scaling():
     )
 
 
+def test_criterion_10_phase_one_scaling():
+    # phase one used to start with every edge odd-class and flip its way
+    # down one BFS layer at a time, so its trace grew linearly with n
+    cycle_sizes = (201, 401, 801, 1601)
+    cycle_rules = []
+    for n in cycle_sizes:
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 2)])
+        verdict = has_skewed_theta(g)
+        assert verdict.contains, n
+        cycle_rules.append(len(verdict.trace))
+    # every edge of a bridgeless cubic graph subdivided: bipartite,
+    # subcubic and 2-connected, 2.5 vertices per cubic vertex
+    rnd = random.Random(1601)
+    root_sizes = (100, 200, 400, 800)
+    root_rules = []
+    for n in root_sizes:
+        cubic = _random_bridgeless_cubic_graph(rnd, 2 * n // 5)
+        edges = []
+        for i, (u, v) in enumerate(cubic.edges):
+            edges += [(u, cubic.n + i), (cubic.n + i, v)]
+        root = Graph(cubic.n + cubic.m, edges)
+        assert root.n == n and root.is_bipartite()
+        verdict = has_skewed_theta(root)
+        assert not verdict.contains, n
+        assert not any(rule == "flip" for rule, _ in verdict.trace), n
+        root_rules.append(len(verdict.trace))
+    cycle_slope = _fit_exponent(cycle_sizes, cycle_rules)
+    root_slope = _fit_exponent(root_sizes, root_rules)
+    assert cycle_slope <= 0.5, f"odd-cycle trace exponent {cycle_slope:.2f} exceeds 0.5"
+    assert root_slope <= 0.5, f"bipartite-root trace exponent {root_slope:.2f} exceeds 0.5"
+    print(
+        f"\nACCEPTANCE 10 (phase-one scaling): PASS - trace lengths {cycle_rules} "
+        f"on odd cycles with a 2-chord, n={cycle_sizes}, and {root_rules} with no "
+        f"flip on bipartite roots, n={root_sizes}; exponents {cycle_slope:.2f}, "
+        f"{root_slope:.2f} <= 0.5"
+    )
+
+
 def test_criterion_8_byte_identical_reports(tmp_path):
     fixture = tmp_path / "fixture.g6"
     graphs = generate_corpus(

@@ -12,6 +12,7 @@ from tperfect.core import (
     path_graph,
     theta_graph,
 )
+from tperfect.core.connectivity import blocks
 from tperfect.corpus import random_subcubic_graph
 from tperfect.errors import GraphInputError
 from tperfect.oracle import has_skewed_theta_bruteforce
@@ -23,6 +24,8 @@ from tperfect.theta import (
     has_skewed_theta,
     make_view,
     one_odd_edge,
+    small_flip_cut,
+    spanning_tree_view,
     triads,
     trivial_view,
     two_odd_cut,
@@ -82,6 +85,36 @@ class TestFlip:
                 odd_count = sum(1 for f in edges if view.is_odd(f))
                 assert len(edges) % 2 == odd_count % 2
                 sampled += 1
+
+
+class TestSpanningTreeView:
+    def test_start_state_on_random_blocks(self):
+        rnd = random.Random(5150)
+        kinds = Counter()
+        while sum(kinds.values()) < 500:
+            g = random_subcubic_graph(rnd, rnd.randint(3, 40))
+            if rnd.random() < 0.5:
+                # keep the edges across a random bipartition
+                side = [rnd.randint(0, 1) for _ in range(g.n)]
+                g = Graph(g.n, [e for e in g.edges if side[e[0]] != side[e[1]]])
+            blk = max(blocks(g).blocks, key=len)
+            if len(blk) < 3:
+                continue
+            h, _ = g.induced(blk)
+            view = spanning_tree_view(h)
+            assert view.even_graph.is_connected()
+            assert len(view.odd_edges) <= h.m - h.n + 1
+            assert (len(view.odd_edges) == 0) == h.is_bipartite()
+            kinds[h.is_bipartite()] += 1
+        assert kinds[True] >= 50 and kinds[False] >= 50
+
+    def test_odd_cycle_with_two_chord(self):
+        # C11 plus the chord (0, 2): the triangle 0-1-2 is odd and the
+        # cycle through the chord is even, so the triangle's non-tree
+        # edge is the one odd-class edge
+        n = 11
+        g = Graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 2)])
+        assert spanning_tree_view(g).odd_edges == ((1, 2),)
 
 
 class TestCrossing:
@@ -217,6 +250,73 @@ class TestTwoOdd:
             assert verdict.contains == has_skewed_theta_bruteforce(g)
 
 
+def _all_even_edges_small_cut(h, view):
+    """Reference for `small_flip_cut`: one probe graph per even edge, in
+    edge order."""
+    o1, o2 = view.odd_edges
+    even_edges = [e for e in h.edges if not view.is_odd(e)]
+    for extra in [None] + even_edges:
+        removal = {o1, o2} | ({extra} if extra else set())
+        comps = h.without_edges(removal).connected_components()
+        for comp in comps if len(comps) > 1 else ():
+            cand = exact_cut(h, comp)
+            n_odd = view.count_odd(cand.edges)
+            if n_odd > len(cand.edges) - n_odd:
+                return cand
+    return None
+
+
+def _two_odd_edge_instances(rnd, count):
+    """2-connected subcubic graphs with exactly two odd-class edges: a
+    random subcubic graph keeps two odd-class edges of its BFS-forest
+    colouring and, with some probability each, its even-class edges;
+    the block holding both odd edges is the instance."""
+    made = 0
+    while made < count:
+        g = random_subcubic_graph(rnd, rnd.randint(5, 16))
+        labels = spanning_tree_view(g).bipartition.labels
+        odd = [e for e in g.edges if labels[e[0]] == labels[e[1]]]
+        if len(odd) < 2:
+            continue
+        e1, e2 = rnd.sample(odd, 2)
+        drop = rnd.choice((0.0, 0.25))
+        h0 = Graph(
+            g.n,
+            [e for e in g.edges if e in (e1, e2) or e not in odd and rnd.random() >= drop],
+        )
+        blk = next(b for b in blocks(h0).blocks if set(e1) <= b)
+        if not set(e2) <= blk:
+            continue
+        h, old_to_new = h0.induced(blk)
+        sub_labels = [0] * h.n
+        for old, new in old_to_new.items():
+            sub_labels[new] = labels[old]
+        made += 1
+        yield h, make_view(h, sub_labels)
+
+
+class TestSmallFlipCut:
+    def test_matches_the_all_even_edges_scan(self):
+        rnd = random.Random(6060)
+        kinds = Counter()
+        for h, view in _two_odd_edge_instances(rnd, 2000):
+            expected = _all_even_edges_small_cut(h, view)
+            assert small_flip_cut(h, view) == expected, (h.edges, view.bipartition.labels)
+            kinds[len(expected.edges) if expected else None] += 1
+        # {o1, o2} alone, {o1, o2} plus a bridge, and no small cut
+        assert kinds[2] >= 100 and kinds[3] >= 500 and kinds[None] >= 500, kinds
+
+    def test_bridge_separating_one_odd_edge_is_skipped(self):
+        # h - {o1, o2} is a path 0-1-2-3-4-5; the bridge (0, 1) separates
+        # only the ends of o1 = (0, 2), so the cut comes from (1, 2)
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (1, 5)])
+        view = make_view(g, [0, 1, 0, 1, 0, 1])
+        assert view.odd_edges == ((0, 2), (1, 5))
+        cut = small_flip_cut(g, view)
+        assert cut == _all_even_edges_small_cut(g, view)
+        assert cut.edges == {(0, 2), (1, 2), (1, 5)}
+
+
 class TestOneOddEdge:
     def test_triangle_exits_small(self):
         g = complete_graph(3)
@@ -272,7 +372,7 @@ class TestOneOddEdge:
         kinds = Counter()
         while sum(kinds.values()) < 6000:
             g = random_subcubic_graph(rnd, rnd.randint(4, 14))
-            labels = _bfs_forest_colouring(g)
+            labels = spanning_tree_view(g).bipartition.labels
             odd = [e for e in g.edges if labels[e[0]] == labels[e[1]]]
             if not odd:
                 continue
@@ -303,21 +403,6 @@ class TestOneOddEdge:
         assert verdict.trace == (
             ("no-opposite-side-branch-pair", {"n": g.n, "cubic": 6 * k}),
         )
-
-
-def _bfs_forest_colouring(g):
-    labels = [-1] * g.n
-    for s in range(g.n):
-        if labels[s] != -1:
-            continue
-        labels[s] = 0
-        queue = [s]
-        for x in queue:
-            for y in g.sorted_neighbors(x):
-                if labels[y] == -1:
-                    labels[y] = labels[x] ^ 1
-                    queue.append(y)
-    return labels
 
 
 def _bead_ring(k):
