@@ -21,18 +21,18 @@ def edge_key(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """Undirected simple graph with sorted neighbor sets.
+    """Undirected simple graph with sorted edges and sorted neighbours.
 
     Instances are immutable and hashable; all operations producing a new
-    graph are pure functions.
+    graph are pure functions.  The constructor checks every edge; the
+    transformations below build through `_trusted`, which skips the checks.
     """
 
-    __slots__ = ("n", "_adj", "_edges", "_hash")
+    __slots__ = ("n", "_adj", "_nbrs", "_edges", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise GraphInputError(f"negative vertex count {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
         seen: set[Edge] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -43,11 +43,26 @@ class Graph:
             if e in seen:
                 raise GraphInputError(f"duplicate edge {e}")
             seen.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
+        self._fill(n, sorted(seen))
+
+    @classmethod
+    def _trusted(cls, n: int, edges: Iterable[Edge]) -> "Graph":
+        """Internal build with no checks: `edges` must already be sorted,
+        normalized by `edge_key`, distinct and in range."""
+        g = object.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n: int, edges: Iterable[Edge]) -> None:
         self.n = n
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._edges: tuple[Edge, ...] = tuple(sorted(seen))
+        self._edges: tuple[Edge, ...] = tuple(edges)
+        # sorted edges append each neighbour list in ascending order
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self._edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        self._nbrs: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
+        self._adj: tuple[frozenset[int], ...] = tuple(map(frozenset, nbrs))
         self._hash: int | None = None
 
     # -- basic accessors -------------------------------------------------
@@ -66,8 +81,9 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
-    def sorted_neighbors(self, v: int) -> list[int]:
-        return sorted(self._adj[v])
+    def sorted_neighbors(self, v: int) -> tuple[int, ...]:
+        """Neighbours of v in ascending order, as a shared read-only tuple."""
+        return self._nbrs[v]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -106,17 +122,18 @@ class Graph:
             raise GraphInputError(f"edge ({u},{v}) already present")
         if u == v:
             raise GraphInputError(f"loop at vertex {u}")
+        # validated build: it checks the range and sorts the appended edge in
         return Graph(self.n, self._edges + (edge_key(u, v),))
 
     def without_edge(self, u: int, v: int) -> "Graph":
         e = edge_key(u, v)
         if not (0 <= e[0] and e[1] < self.n and self.has_edge(u, v)):
             raise GraphInputError(f"edge {e} not present")
-        return Graph(self.n, tuple(f for f in self._edges if f != e))
+        return Graph._trusted(self.n, [f for f in self._edges if f != e])
 
     def without_edges(self, remove: Iterable[Edge]) -> "Graph":
         dead = {edge_key(u, v) for u, v in remove}
-        return Graph(self.n, tuple(e for e in self._edges if e not in dead))
+        return Graph._trusted(self.n, [e for e in self._edges if e not in dead])
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on `vertices`; returns (graph, old->new map)."""
@@ -127,7 +144,8 @@ class Graph:
             for u, v in self._edges
             if u in old_to_new and v in old_to_new
         ]
-        return Graph(len(keep), es), old_to_new
+        # old_to_new is increasing, so the mapped edges stay sorted
+        return Graph._trusted(len(keep), es), old_to_new
 
     def without_vertex(self, v: int) -> tuple["Graph", dict[int, int]]:
         return self.induced(u for u in range(self.n) if u != v)
@@ -193,7 +211,7 @@ def identify_vertices(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
         na, nb = old_to_new[a], old_to_new[b]
         if na != nb:
             es.add(edge_key(na, nb))
-    return Graph(g.n - 1, sorted(es)), old_to_new
+    return Graph._trusted(g.n - 1, sorted(es)), old_to_new
 
 
 def path_edges(seq: list[int]) -> list[Edge]:

@@ -9,11 +9,15 @@ are kept for human authoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .core.graph import Graph
 from .errors import GraphInputError
 
 FORMATS = ("graph6", "edge-list")
+
+# graph6 character -> its six bits, most significant first
+_SIX_BITS = {chr(v + 63): format(v, "06b") for v in range(64)}
 
 
 @dataclass(frozen=True)
@@ -55,20 +59,13 @@ def _decode_n(s: str) -> tuple[int, int]:
 
 
 def graph_to_graph6(g: Graph) -> str:
-    n = g.n
-    bits = []
-    for col in range(1, n):
-        for row in range(col):
-            bits.append(1 if g.has_edge(row, col) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return _encode_n(n) + "".join(chars)
+    head = _encode_n(g.n)
+    total = g.n * (g.n - 1) // 2
+    bits = ["0"] * (total + -total % 6)
+    for u, v in g.edges:
+        bits[v * (v - 1) // 2 + u] = "1"
+    body = "".join(bits)
+    return head + "".join(chr(int(body[i : i + 6], 2) + 63) for i in range(0, len(body), 6))
 
 
 def graph6_to_graph(payload: str) -> Graph:
@@ -82,22 +79,22 @@ def graph6_to_graph(payload: str) -> Graph:
         raise GraphInputError(
             f"graph6 body length {len(body)} does not match n={n} (need {need})"
         )
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if val < 0 or val > 63:
-            raise GraphInputError(f"bad graph6 byte {ch!r}")
-        bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    edges = []
-    i = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[i]:
-                edges.append((row, col))
-            i += 1
-    if any(bits[i:]):
+    try:
+        bits = "".join([_SIX_BITS[ch] for ch in body])
+    except KeyError as exc:
+        raise GraphInputError(f"bad graph6 byte {exc.args[0]!r}") from None
+    total = n * (n - 1) // 2
+    if "1" in bits[total:]:
         raise GraphInputError("nonzero padding bits in graph6 payload")
-    return Graph(n, edges)
+    # bit i is the upper-triangle cell (row, col) with i = col(col-1)/2 + row
+    edges = []
+    i = bits.find("1")
+    while i != -1:
+        col = (isqrt(8 * i + 1) + 1) // 2
+        edges.append((i - col * (col - 1) // 2, col))
+        i = bits.find("1", i + 1)
+    edges.sort()
+    return Graph._trusted(n, edges)
 
 
 def graph_to_edge_list(g: Graph) -> str:

@@ -66,7 +66,7 @@ def line_graph(h: Graph) -> tuple[Graph, dict[Edge, int]]:
         incident = [edge_key(v, w) for w in h.sorted_neighbors(v)]
         for e, f in combinations(incident, 2):
             lg_edges.add(edge_key(index[e], index[f]))
-    return Graph(h.m, sorted(lg_edges)), dict(index)
+    return Graph._trusted(h.m, sorted(lg_edges)), dict(index)
 
 
 def _propagate_cells(g: Graph, seed: tuple[int, ...]) -> list[tuple[int, ...]] | None:
@@ -131,7 +131,8 @@ def _root_from_cells(g: Graph, cells: list[tuple[int, ...]]) -> RootMapping | No
             return None
         edge_to_vertex[e] = v
         root_edges.append(e)
-    return RootMapping(Graph(next_id, root_edges), edge_to_vertex)
+    root_edges.sort()
+    return RootMapping(Graph._trusted(next_id, root_edges), edge_to_vertex)
 
 
 def recognize_line_graph(g: Graph) -> RootMapping | None:

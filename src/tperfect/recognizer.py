@@ -141,12 +141,11 @@ def is_t_perfect(g: Graph, config: ParityConfig = DEFAULT_CONFIG) -> Decision:
     origins = tuple(frozenset([v]) for v in range(g.n))
     verdict = True
     for comp in g.connected_components():
+        sub, sub_origins = g, origins  # a connected input is decided in place
         if len(comp) < g.n:
             run.log("component", origins, comp, {"n": len(comp)})
-        sub, old_to_new = g.induced(comp)
-        sub_origins = tuple(
-            origins[old] for old, _ in sorted(old_to_new.items(), key=lambda kv: kv[1])
-        )
+            sub, old_to_new = g.induced(comp)
+            sub_origins = tuple(origins[old] for old in old_to_new)
         if not _decide(run, sub, sub_origins):
             verdict = False
             break
@@ -190,10 +189,7 @@ def _decide(run: _Run, g: Graph, origins) -> bool:
         run.log("block-split", origins, range(g.n), {"blocks": len(dec.blocks)})
         for blk in dec.blocks:
             sub, old_to_new = g.induced(blk)
-            sub_origins = tuple(
-                origins[old]
-                for old, _ in sorted(old_to_new.items(), key=lambda kv: kv[1])
-            )
+            sub_origins = tuple(origins[old] for old in old_to_new)
             if not _decide(run, sub, sub_origins):
                 return False
         return True

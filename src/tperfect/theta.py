@@ -98,7 +98,7 @@ def make_view(g: Graph, labels) -> OddEdgeView:
     if len(bp.labels) != g.n:
         raise GraphInputError("bipartition must label every vertex")
     odd = tuple(e for e in g.edges if bp.labels[e[0]] == bp.labels[e[1]])
-    even = Graph(g.n, [e for e in g.edges if bp.labels[e[0]] != bp.labels[e[1]]])
+    even = Graph._trusted(g.n, [e for e in g.edges if bp.labels[e[0]] != bp.labels[e[1]]])
     return OddEdgeView(g, bp, odd, even)
 
 

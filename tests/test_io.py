@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,11 +10,51 @@ from tperfect.core import Graph, complete_graph, squared_cycle
 from tperfect.errors import GraphInputError
 from tperfect.io import (
     GraphDocument,
+    _decode_n,
     graph6_to_graph,
     graph_to_graph6,
     parse,
     serialize,
 )
+
+
+def _reference_graph6_to_graph(payload: str) -> Graph:
+    """The bit-by-bit decoder the word-level one replaced, kept as its reference."""
+    payload = payload.strip()
+    if payload.startswith(">>graph6<<"):
+        payload = payload[len(">>graph6<<") :]
+    n, consumed = _decode_n(payload)
+    body = payload[consumed:]
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise GraphInputError(
+            f"graph6 body length {len(body)} does not match n={n} (need {need})"
+        )
+    bits = []
+    for ch in body:
+        val = ord(ch) - 63
+        if val < 0 or val > 63:
+            raise GraphInputError(f"bad graph6 byte {ch!r}")
+        bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
+    edges = []
+    i = 0
+    for col in range(1, n):
+        for row in range(col):
+            if bits[i]:
+                edges.append((row, col))
+            i += 1
+    if any(bits[i:]):
+        raise GraphInputError("nonzero padding bits in graph6 payload")
+    return Graph(n, edges)
+
+
+def _decode_outcome(decode, payload):
+    try:
+        g = decode(payload)
+    except GraphInputError as exc:
+        return ("error", str(exc))
+    adjacency = [(g.neighbors(v), g.sorted_neighbors(v)) for v in range(g.n)]
+    return ("graph", g.n, g.edges, adjacency)
 
 
 class TestEdgeList:
@@ -101,6 +144,45 @@ class TestGraph6:
     def test_unknown_format(self):
         with pytest.raises(GraphInputError):
             GraphDocument("dot", "x")
+
+    def test_word_level_decoder_matches_bit_by_bit_reference(self):
+        rnd = random.Random(606)
+        valid_chars = [chr(v + 63) for v in range(64)]
+        bad_chars = [chr(c) for c in range(33, 63)] + ["\x7f", "\xff", "\u00e9"]
+        seen = Counter()
+        for n in (0, 1, 2, 62, 63, 64, 300):
+            total = n * (n - 1) // 2
+            pad = -total % 6
+            for _ in range(12):
+                p = rnd.choice((0.0, 0.02, 0.3, 0.7, 1.0))
+                g = Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+                s = graph_to_graph6(g)
+                header = len(s) - (total + 5) // 6
+                payloads = [s, ">>graph6<<" + s, " " + s + "\n"]
+                pos = rnd.randrange(len(s))
+                payloads.append(s[:pos] + rnd.choice(bad_chars) + s[pos + 1 :])
+                if len(s) > header:
+                    pos = rnd.randrange(header, len(s))
+                    payloads.append(s[:pos] + rnd.choice(bad_chars) + s[pos + 1 :])
+                    payloads.append(s[: rnd.randrange(header, len(s))])
+                payloads.append(s + "".join(rnd.choices(valid_chars, k=rnd.randint(1, 3))))
+                if pad:
+                    last = ord(s[-1]) - 63 | rnd.randint(1, (1 << pad) - 1)
+                    payloads.append(s[:-1] + chr(last + 63))
+                for payload in payloads:
+                    want = _decode_outcome(_reference_graph6_to_graph, payload)
+                    assert _decode_outcome(graph6_to_graph, payload) == want, (n, payload)
+                    seen[want[0] if want[0] == "graph" else want[1].split()[2]] += 1
+                assert graph6_to_graph(s).edges == g.edges
+        # valid graphs, and the "body length", "bad byte" and "padding bits" errors
+        assert seen["graph"] >= 200
+        assert min(seen[k] for k in ("length", "byte", "bits")) >= 20, seen
+
+    def test_nonzero_padding_rejected(self):
+        # K2 is "A_": its one edge bit, then five padding bits
+        assert graph6_to_graph("A_") == complete_graph(2)
+        with pytest.raises(GraphInputError, match="nonzero padding bits"):
+            graph6_to_graph("A`")
 
     def test_round_trip_over_generated_corpora(self):
         from tperfect.corpus import generate_corpus
