@@ -20,79 +20,67 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
     tree_edges: tuple[tuple[int, int], ...]
 
-    def blocks_containing(self, v: int) -> list[int]:
-        return [i for i, b in enumerate(self.blocks) if v in b]
-
-    def cut_vertices_in(self, block_index: int) -> list[int]:
-        return sorted(c for i, c in self.tree_edges if i == block_index)
-
 
 def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected components via iterative Hopcroft-Tarjan.
+    """Biconnected components via one iterative Hopcroft-Tarjan pass.
 
-    Isolated vertices become singleton blocks so the blocks cover V as well
-    as E.  Blocks are ordered by smallest contained vertex, then lexicographic.
+    Vertices are stacked as they are discovered; when a child v of u
+    finishes with low[v] >= disc[u], the vertices stacked from v on, plus
+    u, form a block.  Isolated vertices become singleton blocks so the
+    blocks cover V as well as E.  Blocks are ordered by smallest contained
+    vertex, then lexicographic.  O(n + m).
     """
+    nbrs = g._nbrs
     disc = [-1] * g.n
     low = [0] * g.n
-    parent: list[int | None] = [None] * g.n
     cut: set[int] = set()
-    edge_stack: list[Edge] = []
     raw_blocks: list[set[int]] = []
     timer = 0
 
     for root in range(g.n):
         if disc[root] != -1:
             continue
-        if g.degree(root) == 0:
-            raw_blocks.append({root})
-            disc[root] = timer
-            timer += 1
-            continue
-        root_children = 0
-        # stack entries: (vertex, iterator position over sorted neighbors)
-        stack: list[tuple[int, int]] = [(root, 0)]
         disc[root] = low[root] = timer
         timer += 1
-        nbrs = {root: g.sorted_neighbors(root)}
+        if not nbrs[root]:
+            raw_blocks.append({root})
+            continue
+        root_children = 0
+        found = [root]
+        # frames: (vertex, iterator over its neighbours, its place in found)
+        stack = [(root, iter(nbrs[root]), 0)]
         while stack:
-            v, i = stack[-1]
-            if i < len(nbrs[v]):
-                stack[-1] = (v, i + 1)
-                w = nbrs[v][i]
+            v, it, at = stack[-1]
+            for w in it:
                 if disc[w] == -1:
-                    parent[w] = v
                     disc[w] = low[w] = timer
                     timer += 1
-                    edge_stack.append((v, w))
-                    nbrs[w] = g.sorted_neighbors(w)
-                    stack.append((w, 0))
-                    if v == root:
-                        root_children += 1
-                elif w != parent[v] and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
+                    stack.append((w, iter(nbrs[w]), len(found)))
+                    found.append(w)
+                    break
+                # a back edge, or the tree edge to v's parent: low[v] never
+                # drops below disc[parent] through it, so the test below holds
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
             else:
                 stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        # u closes a block; pop its edges
-                        comp: set[int] = set()
-                        while edge_stack:
-                            a, b = edge_stack[-1]
-                            if disc[a] < disc[v] and a != u:
-                                break
-                            edge_stack.pop()
-                            comp.add(a)
-                            comp.add(b)
-                            if (a, b) == (u, v):
-                                break
-                        raw_blocks.append(comp)
-                        if u != root or root_children > 1:
-                            cut.add(u)
-        # a lone root with one child is not a cut vertex; handled above
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    # u closes a block: v's stacked subtree plus u
+                    blk = set(found[at:])
+                    blk.add(u)
+                    raw_blocks.append(blk)
+                    del found[at:]
+                    if u == root:
+                        root_children += 1
+                    else:
+                        cut.add(u)
+        if root_children > 1:
+            cut.add(root)
 
     ordered = sorted(raw_blocks, key=lambda b: (min(b), sorted(b)))
     blks = tuple(frozenset(b) for b in ordered)
@@ -104,10 +92,8 @@ def blocks(g: Graph) -> BlockDecomposition:
 
 def is_two_connected(g: Graph) -> bool:
     """2-connected in the strict sense: at least 3 vertices, connected,
-    no cut vertex."""
-    if g.n < 3 or not g.is_connected():
-        return False
-    return len(blocks(g).blocks) == 1
+    no cut vertex (one block, since the blocks cover every vertex)."""
+    return g.n >= 3 and len(blocks(g).blocks) == 1
 
 
 def _cut_vertices_without(g: Graph, u: int) -> set[int] | None:
@@ -244,22 +230,22 @@ def find_two_separation(g: Graph) -> Separation | None:
 
 
 def bfs_spanning_tree(g: Graph, root: int = 0) -> set[Edge]:
-    """Edge set of a deterministic BFS spanning tree of a connected graph."""
-    if not g.is_connected():
-        raise GraphInputError("spanning tree of a disconnected graph")
+    """Edge set of a deterministic BFS spanning tree of a connected graph.
+
+    Raises GraphInputError when the search from `root` misses a vertex.
+    """
     tree: set[Edge] = set()
     seen = [False] * g.n
     seen[root] = True
     queue = [root]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
+    for x in queue:
         for y in g.sorted_neighbors(x):
             if not seen[y]:
                 seen[y] = True
                 tree.add(edge_key(x, y))
                 queue.append(y)
+    if len(queue) < g.n:
+        raise GraphInputError("spanning tree of a disconnected graph")
     return tree
 
 

@@ -14,7 +14,16 @@ minus at most one vertex: at most |common|+1 candidates.  Once a correct
 seed cell is fixed, the rest of the partition is forced (a vertex with one
 known cell has all its remaining edges in exactly one further cell), so we
 try each candidate seed, propagate, and keep the first partition whose
-reconstructed root verifies L(root) == G exactly.
+reconstructed root verifies L(root) == G exactly (in O(m), see
+`RootMapping.verify_against`).
+
+Propagation works on sets: each vertex holds the ids of its first and
+second cell, each cell is a frozenset, and a vertex's uncovered neighbours
+are its neighbourhood minus its cells.  No edge is covered twice, so all
+are covered exactly when sum C(|cell|, 2) == m.  A root needs every vertex
+in a cell, reached from the seed through adjacent vertices, so it proves G
+connected; connectivity is searched only to tell a non-line graph (None)
+from a disconnected input (GraphInputError).
 
 K3 is the classical ambiguous case (roots K3 and K1,3 both work); the
 candidate order tries the larger seed first, so the emitted root is K1,3.
@@ -36,24 +45,29 @@ class RootMapping:
     root: Graph
     edge_to_vertex: dict[Edge, int]
 
-    def derived_line_graph_edges(self) -> set[Edge]:
-        """Edges of L(root) pushed through the bijection."""
-        incident: dict[int, list[Edge]] = {}
-        for e in self.root.edges:
-            for w in e:
-                incident.setdefault(w, []).append(e)
-        out: set[Edge] = set()
-        for w, es in incident.items():
-            for e, f in combinations(es, 2):
-                out.add(edge_key(self.edge_to_vertex[e], self.edge_to_vertex[f]))
-        return out
-
     def verify_against(self, g: Graph) -> bool:
-        if set(self.edge_to_vertex) != set(self.root.edges):
+        """True iff the mapping is a bijection edges(root) -> V(g) with
+        L(root) == g through it: a complete check for any mapping, in O(m).
+
+        The edges at each root vertex map to a vertex set that must be a
+        clique of g (one intersection per member), and the pairs derived
+        there are counted.  Derived pairs are distinct: two root vertices
+        deriving {p, q} would both be ends of the root edges mapped to p
+        and q, which a simple root rules out.  So all derived pairs are
+        edges of g, and they are all of E(g) exactly when they number g.m.
+        """
+        e2v = self.edge_to_vertex
+        if e2v.keys() != set(self.root.edges) or sorted(e2v.values()) != list(range(g.n)):
             return False
-        if sorted(self.edge_to_vertex.values()) != list(range(g.n)):
+        at: list[list[int]] = [[] for _ in range(self.root.n)]
+        for (a, b), v in e2v.items():
+            at[a].append(v)
+            at[b].append(v)
+        adj = g._adj
+        cliques = [set(vs) for vs in at if len(vs) > 1]
+        if any(len(adj[v] & c) != len(c) - 1 for c in cliques for v in c):
             return False
-        return self.derived_line_graph_edges() == set(g.edges)
+        return sum(len(c) * (len(c) - 1) // 2 for c in cliques) == g.m
 
 
 def line_graph(h: Graph) -> tuple[Graph, dict[Edge, int]]:
@@ -69,70 +83,57 @@ def line_graph(h: Graph) -> tuple[Graph, dict[Edge, int]]:
     return Graph._trusted(h.m, sorted(lg_edges)), dict(index)
 
 
-def _propagate_cells(g: Graph, seed: tuple[int, ...]) -> list[tuple[int, ...]] | None:
-    """Grow the forced cell partition from a seed cell; None on failure."""
-    cells: list[tuple[int, ...]] = [seed]
-    cell_count = {v: 0 for v in range(g.n)}
-    covered: set[Edge] = set()
-    for a, b in combinations(seed, 2):
-        covered.add(edge_key(a, b))
+def _root_from_seed(g: Graph, seed: tuple[int, ...]) -> RootMapping | None:
+    """Grow the forced cell partition from a seed cell and read the root
+    off it (cells numbered in creation order, then private endpoints in
+    vertex order); None when the partition fails."""
+    adj = g._adj
+    first = [-1] * g.n
+    second = [-1] * g.n
+    members = [frozenset(seed)]
     for v in seed:
-        cell_count[v] += 1
+        first[v] = 0
+    covered = len(seed) * (len(seed) - 1) // 2
     queue = list(seed)
-    processed: set[int] = set()
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        if v in processed:
-            continue
-        processed.add(v)
-        uncovered = [w for w in g.sorted_neighbors(v) if edge_key(v, w) not in covered]
+    for v in queue:
+        uncovered = adj[v] - members[first[v]]
         if not uncovered:
             continue
-        if cell_count[v] >= 2:
-            return None
-        cell = tuple([v] + uncovered)
-        for a, b in combinations(cell, 2):
-            e = edge_key(a, b)
-            if not g.has_edge(a, b) or e in covered:
-                return None
-        for a, b in combinations(cell, 2):
-            covered.add(edge_key(a, b))
-        for w in cell:
-            cell_count[w] += 1
-            if cell_count[w] > 2:
-                return None
-        cells.append(cell)
-        queue.extend(uncovered)
-    if len(covered) != g.m:
+        if second[v] != -1:
+            if uncovered - members[second[v]]:
+                return None  # a vertex already in two cells has an edge left
+            continue
+        cid = len(members)
+        cell = uncovered | {v}
+        k = len(uncovered)
+        for w in uncovered:
+            if len(adj[w] & cell) != k:
+                return None  # not a clique
+            if first[w] == -1:
+                first[w] = cid
+            elif second[w] != -1 or len(members[first[w]] & cell) > 1:
+                return None  # a third cell, or a pair covered twice
+            else:
+                second[w] = cid
+        second[v] = cid
+        members.append(cell)
+        covered += k * (k + 1) // 2
+        queue.extend(sorted(uncovered))
+    if covered != g.m:
         return None
-    return cells
-
-
-def _root_from_cells(g: Graph, cells: list[tuple[int, ...]]) -> RootMapping | None:
-    cell_ids: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for i, cell in enumerate(cells):
-        for v in cell:
-            cell_ids[v].append(i)
-    next_id = len(cells)
+    next_id = len(members)
     edge_to_vertex: dict[Edge, int] = {}
-    root_edges: list[Edge] = []
     for v in range(g.n):
-        ids = cell_ids[v]
-        if len(ids) == 2:
-            e = edge_key(ids[0], ids[1])
-        elif len(ids) == 1:
-            e = edge_key(ids[0], next_id)
+        a, b = first[v], second[v]
+        if a == -1:
+            return None
+        if b == -1:
+            b = next_id
             next_id += 1
-        else:
-            return None
-        if e in edge_to_vertex:
-            return None
-        edge_to_vertex[e] = v
-        root_edges.append(e)
-    root_edges.sort()
-    return RootMapping(Graph._trusted(next_id, root_edges), edge_to_vertex)
+        edge_to_vertex[a, b] = v
+    if len(edge_to_vertex) < g.n:
+        return None  # two vertices in the same two cells
+    return RootMapping(Graph._trusted(next_id, sorted(edge_to_vertex)), edge_to_vertex)
 
 
 def recognize_line_graph(g: Graph) -> RootMapping | None:
@@ -140,27 +141,21 @@ def recognize_line_graph(g: Graph) -> RootMapping | None:
 
     The returned mapping always satisfies L(root) == g exactly (re-derived
     and checked before returning), so a non-None answer is self-certifying.
+    Raises GraphInputError on a disconnected graph.
     """
+    if g.n == 1:
+        return RootMapping(Graph(2, [(0, 1)]), {(0, 1): 0})
+    if g.m:
+        x, y = g.edges[0]
+        common = sorted(g.neighbors(x) & g.neighbors(y))
+        widest = tuple([x, y] + common)
+        candidates = [widest] + [tuple(v for v in widest if v != z) for z in common]
+        for cand in candidates:
+            if not g.is_clique(cand):
+                continue
+            rm = _root_from_seed(g, cand)
+            if rm is not None and rm.verify_against(g):
+                return rm
     if not g.is_connected():
         raise GraphInputError("recognize_line_graph expects a connected graph")
-    if g.n == 0:
-        return None
-    if g.n == 1:
-        root = Graph(2, [(0, 1)])
-        return RootMapping(root, {(0, 1): 0})
-    x, y = g.edges[0]
-    common = sorted(g.neighbors(x) & g.neighbors(y))
-    widest = tuple([x, y] + common)
-    candidates = [widest] + [
-        tuple(v for v in widest if v != z) for z in common
-    ]
-    for cand in candidates:
-        if not g.is_clique(cand):
-            continue
-        cells = _propagate_cells(g, cand)
-        if cells is None:
-            continue
-        rm = _root_from_cells(g, cells)
-        if rm is not None and rm.verify_against(g):
-            return rm
     return None

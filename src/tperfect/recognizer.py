@@ -33,7 +33,7 @@ from .core.named import (
     squared_cycle_minus_vertex,
 )
 from .errors import GraphInputError, NotClawFreeError, check
-from .linegraph import recognize_line_graph
+from .linegraph import RootMapping, recognize_line_graph
 from .parity import DEFAULT_CONFIG, ParityConfig, ParityQuery, exists_induced_path_with_parity
 from .theta import has_skewed_theta
 
@@ -131,22 +131,26 @@ class _Run:
 def is_t_perfect(g: Graph, config: ParityConfig = DEFAULT_CONFIG) -> Decision:
     """Decide t-perfection of a claw-free graph.
 
-    Raises NotClawFreeError (with witness) on non-claw-free input.
-    Disconnected inputs are decided per component and conjoined.
+    Raises NotClawFreeError (with witness) on non-claw-free input.  Line
+    graphs are claw-free, so a connected input is tried as one first and
+    scanned for a claw only when it has no root.  Disconnected inputs are
+    decided per component and conjoined.
     """
-    witness = find_claw(g)
-    if witness is not None:
-        raise NotClawFreeError(witness.centre, witness.leaves)
+    comps = g.connected_components()
+    root = recognize_line_graph(g) if len(comps) == 1 else None
+    if root is None:
+        witness = find_claw(g)
+        if witness is not None:
+            raise NotClawFreeError(witness.centre, witness.leaves)
     run = _Run(config)
     origins = tuple(frozenset([v]) for v in range(g.n))
-    verdict = True
-    for comp in g.connected_components():
-        sub, sub_origins = g, origins  # a connected input is decided in place
-        if len(comp) < g.n:
-            run.log("component", origins, comp, {"n": len(comp)})
-            sub, old_to_new = g.induced(comp)
-            sub_origins = tuple(origins[old] for old in old_to_new)
-        if not _decide(run, sub, sub_origins):
+    # a connected input is decided in place, with its root
+    verdict = _decide(run, g, origins, root) if len(comps) == 1 else True
+    for comp in comps if len(comps) > 1 else ():
+        run.log("component", origins, comp, {"n": len(comp)})
+        sub, old_to_new = g.induced(comp)
+        sub_origins = tuple(origins[old] for old in old_to_new)
+        if not _decide(run, sub, sub_origins, recognize_line_graph(sub)):
             verdict = False
             break
     stats = {
@@ -158,13 +162,12 @@ def is_t_perfect(g: Graph, config: ParityConfig = DEFAULT_CONFIG) -> Decision:
     return Decision(verdict, tuple(run.trace), stats)
 
 
-def _decide(run: _Run, g: Graph, origins) -> bool:
-    """The per-connected-graph recursion; every recursive child re-enters
-    here (so it gets the line-graph check first, exactly like the input)."""
+def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
+    """The per-connected-graph recursion.  Callers pass `root`, g's root or
+    None, so every child gets the line-graph check first, like the input."""
     run.decide_calls += 1
 
     # line graphs are settled through their root graph
-    root = recognize_line_graph(g)
     if root is not None:
         if root.root.max_degree() >= 4:
             run.log(
@@ -190,7 +193,7 @@ def _decide(run: _Run, g: Graph, origins) -> bool:
         for blk in dec.blocks:
             sub, old_to_new = g.induced(blk)
             sub_origins = tuple(origins[old] for old in old_to_new)
-            if not _decide(run, sub, sub_origins):
+            if not _decide(run, sub, sub_origins, recognize_line_graph(sub)):
                 return False
         return True
 
@@ -241,7 +244,7 @@ def _decide(run: _Run, g: Graph, origins) -> bool:
         w = find_claw(child)
         check(w is None, "separation children must stay claw-free")
         check(child.n < g.n, "separation children must shrink")
-        if not _decide(run, child, child_origins):
+        if not _decide(run, child, child_origins, recognize_line_graph(child)):
             return False
     return True
 

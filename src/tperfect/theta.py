@@ -483,33 +483,33 @@ def decide_few_odd_edges(
     through the small-cut pipeline."""
     if len(view.odd_edges) > 2:
         raise GraphInputError("dispatcher expects at most two odd-class edges")
-    done = ("no-remaining-odd-structure", {"n": h.n, "m": h.m})
-    if not view.odd_edges:
-        return ThetaVerdict(False, (done,))
     trace: list[tuple[str, dict]] = []
-    for blk in blocks(h).blocks:
+    for blk in blocks(h).blocks if view.odd_edges else ():
         if len(blk) < 3:
             continue
         sub, sview = h, view
         if len(blk) < h.n:
             sub, old_to_new = h.induced(blk)
             sview = view_for_subgraph(view, sub, old_to_new)
-        k = len(sview.odd_edges)
-        if k == 0:
-            continue
-        if k == 1:
-            verdict = one_odd_edge(sub, sview, config)
-        else:
-            res = two_odd_cut(sub, sview)
-            if isinstance(res, ThetaFound):
-                trace.append((res.rule, {"n": sub.n, "m": sub.m}))
-                return ThetaVerdict(True, tuple(trace))
-            verdict = two_odd_decide(sub, sview, res, config)
+        verdict = _few_odd_block(sub, sview, config)
         trace.extend(verdict.trace)
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))
-    trace.append(done)
+    trace.append(("no-remaining-odd-structure", {"n": h.n, "m": h.m}))
     return ThetaVerdict(False, tuple(trace))
+
+
+def _few_odd_block(h: Graph, view: OddEdgeView, config: ParityConfig) -> ThetaVerdict:
+    """`decide_few_odd_edges` on one 2-connected block, without its block
+    pass or closing trace entry."""
+    if not view.odd_edges:
+        return ThetaVerdict(False, ())
+    if len(view.odd_edges) == 1:
+        return _one_odd_block(h, view, range(h.n))
+    res = two_odd_cut(h, view)
+    if isinstance(res, ThetaFound):
+        return ThetaVerdict(True, ((res.rule, {"n": h.n, "m": h.m}),))
+    return _two_odd_block(h, view, res, config)
 
 
 def one_odd_edge(
@@ -546,24 +546,31 @@ def one_odd_edge(
     """
     if len(view.odd_edges) > 1:
         raise GraphInputError("expected at most one odd-class edge")
+    if view.odd_edges:
+        x, y = view.odd_edges[0]
+        blk = sorted(next(b for b in blocks(h).blocks if x in b and y in b))
+        if len(blk) < h.n:
+            g, old_to_new = h.induced(blk)  # vertex i of g is blk[i] of h
+            verdict = _one_odd_block(g, view_for_subgraph(view, g, old_to_new), blk)
+            restrict = ("restrict-to-odd-block", {"n": g.n})
+            return ThetaVerdict(verdict.contains, (restrict,) + verdict.trace)
+    return _one_odd_block(h, view, range(h.n))
+
+
+def _one_odd_block(g: Graph, view: OddEdgeView, names) -> ThetaVerdict:
+    """`one_odd_edge` once g is the block of the odd-class edge (or the
+    view has none); names[v] is v's vertex in the caller's graph."""
     if not view.odd_edges:
-        return ThetaVerdict(False, (("no-odd-edge", {"n": h.n}),))
+        return ThetaVerdict(False, (("no-odd-edge", {"n": g.n}),))
     trace: list[tuple[str, dict]] = []
-    x, y = view.odd_edges[0]
-    blk = sorted(next(b for b in blocks(h).blocks if x in b and y in b))
-    g, vw = h, view
-    if len(blk) < h.n:
-        g, old_to_new = h.induced(blk)  # vertex i of g is blk[i] of h
-        vw = view_for_subgraph(view, g, old_to_new)
-        trace.append(("restrict-to-odd-block", {"n": g.n}))
-    side = vw.bipartition.side
+    side = view.bipartition.side
     cubic = [v for v in range(g.n) if g.degree(v) == 3]
     if len({side(v) for v in cubic}) < 2:
         trace.append(("one-sided-branch-vertices", {"n": g.n, "cubic": len(cubic)}))
         return ThetaVerdict(False, tuple(trace))
     pair = _opposite_side_branch_pair(g, side, cubic)
     if pair is not None:
-        trace.append(("opposite-side-branch-pair", {"pair": [blk[v] for v in pair]}))
+        trace.append(("opposite-side-branch-pair", {"pair": [names[v] for v in pair]}))
         return ThetaVerdict(True, tuple(trace))
     trace.append(("no-opposite-side-branch-pair", {"n": g.n, "cubic": len(cubic)}))
     return ThetaVerdict(False, tuple(trace))
@@ -640,31 +647,38 @@ def two_odd_decide(
     o1, o2 = view.odd_edges
     if not (o1 in f.edges and o2 in f.edges and len(f.edges) <= 4):
         raise GraphInputError("cut must contain both odd edges and at most two others")
+    if is_two_connected(h):
+        return _two_odd_block(h, view, f, config)
     trace: list[tuple[str, dict]] = []
+    dec = blocks(h)
+    b1 = next(b for b in dec.blocks if set(o1) <= b)
+    b2 = next(b for b in dec.blocks if set(o2) <= b)
+    if b1 != b2:
+        trace.append(("odd-edges-in-separate-blocks", {}))
+        for blk in (b1, b2):
+            sub, old_to_new = h.induced(blk)
+            sview = view_for_subgraph(view, sub, old_to_new)
+            verdict = _one_odd_block(sub, sview, range(sub.n))
+            trace.extend(verdict.trace)
+            if verdict.contains:
+                return ThetaVerdict(True, tuple(trace))
+        return ThetaVerdict(False, tuple(trace))
+    sub, old_to_new = h.induced(b1)
+    sview = view_for_subgraph(view, sub, old_to_new)
+    trace.append(("restrict-to-shared-block", {"n": sub.n}))
+    res = two_odd_cut(sub, sview)
+    if isinstance(res, ThetaFound):
+        trace.append((res.rule, {"n": sub.n}))
+        return ThetaVerdict(True, tuple(trace))
+    verdict = _two_odd_block(sub, sview, res, config)
+    return ThetaVerdict(verdict.contains, tuple(trace) + verdict.trace)
 
-    if not is_two_connected(h):
-        dec = blocks(h)
-        b1 = next(b for b in dec.blocks if set(o1) <= b)
-        b2 = next(b for b in dec.blocks if set(o2) <= b)
-        if b1 != b2:
-            trace.append(("odd-edges-in-separate-blocks", {}))
-            for blk in (b1, b2):
-                sub, old_to_new = h.induced(blk)
-                verdict = one_odd_edge(sub, view_for_subgraph(view, sub, old_to_new), config)
-                trace.extend(verdict.trace)
-                if verdict.contains:
-                    return ThetaVerdict(True, tuple(trace))
-            return ThetaVerdict(False, tuple(trace))
-        sub, old_to_new = h.induced(b1)
-        sview = view_for_subgraph(view, sub, old_to_new)
-        trace.append(("restrict-to-shared-block", {"n": sub.n}))
-        res = two_odd_cut(sub, sview)
-        if isinstance(res, ThetaFound):
-            trace.append((res.rule, {"n": sub.n}))
-            return ThetaVerdict(True, tuple(trace))
-        verdict = two_odd_decide(sub, sview, res, config)
-        return ThetaVerdict(verdict.contains, tuple(trace) + verdict.trace)
 
+def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut, config) -> ThetaVerdict:
+    """`two_odd_decide` once h is known to be 2-connected; f is a cut that
+    `two_odd_cut` returned or `two_odd_decide` checked."""
+    o1, o2 = view.odd_edges
+    trace: list[tuple[str, dict]] = []
     f.validate_against(h)
 
     cand = small_flip_cut(h, view)
@@ -672,7 +686,7 @@ def two_odd_decide(
         flipped = flip(view, cand)
         check(len(flipped.odd_edges) <= 1, "small-cut flip leaves at most one odd edge")
         trace.append(("flip-on-small-cut", {"cut": len(cand.edges)}))
-        verdict = one_odd_edge(h, flipped, config)
+        verdict = _one_odd_block(h, flipped, range(h.n))
         return ThetaVerdict(verdict.contains, tuple(trace) + verdict.trace)
 
     check(len(f.edges) == 4, "past the small-cut scan the given cut has four edges")
@@ -879,9 +893,10 @@ def has_skewed_theta(
             view = flip(view, res)
             trace.append(("flip", {"odd": len(view.odd_edges)}))
             check(len(view.odd_edges) < before, "flip must make progress")
-        verdict = decide_few_odd_edges(sub, view, config)
+        verdict = _few_odd_block(sub, view, config)
         trace.extend(verdict.trace)
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))
+        trace.append(("no-remaining-odd-structure", {"n": sub.n, "m": sub.m}))
     trace.append(("all-blocks-clear", {"blocks": len(dec.blocks)}))
     return ThetaVerdict(False, tuple(trace))

@@ -42,3 +42,12 @@ def small_random_graphs():
         n = rnd.randint(1, 10)
         out.append(random_graph(rnd, n, rnd.uniform(0.15, 0.7)))
     return out
+
+
+@pytest.fixture(scope="session")
+def clawfree_to_nine():
+    """Every connected claw-free graph on at most nine vertices, up to
+    isomorphism (about half a minute to enumerate, so built once)."""
+    from tperfect.corpus import enumerate_connected_graphs, is_clawfree
+
+    return enumerate_connected_graphs(9, is_clawfree)

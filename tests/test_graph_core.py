@@ -279,6 +279,13 @@ class TestFundamentalCycles:
         tree = bfs_spanning_tree(g)
         assert len(tree) == g.n - 1
 
+    def test_bfs_tree_rejects_a_disconnected_graph(self):
+        # found by the BFS itself: some vertex is never reached from the root
+        for g, root in ((Graph(4, [(0, 1), (2, 3)]), 0), (Graph(3, [(1, 2)]), 1), (Graph(2), 0)):
+            with pytest.raises(GraphInputError, match="disconnected"):
+                bfs_spanning_tree(g, root)
+        assert bfs_spanning_tree(Graph(1)) == set()
+
 
 class TestIsomorphism:
     def test_relabelled_squared_cycle(self):

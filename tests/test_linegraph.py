@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from conftest import cycle_blowup
 
 from tperfect.core import (
     Graph,
@@ -10,8 +11,10 @@ from tperfect.core import (
     cycle_graph,
     is_isomorphic_small,
     path_graph,
+    squared_cycle,
     wheel_5,
 )
+from tperfect.corpus import random_subcubic_graph
 from tperfect.errors import GraphInputError
 from tperfect.linegraph import line_graph, recognize_line_graph
 from tperfect.recognizer import find_claw
@@ -107,3 +110,59 @@ class TestRecognition:
         second = recognize_line_graph(g)
         assert first.root == second.root
         assert first.edge_to_vertex == second.edge_to_vertex
+
+
+class TestNetworkxCrossCheck:
+    """Roots checked by networkx's own line-graph and inverse-line-graph
+    code, at sizes the brute-force oracles cannot reach."""
+
+    @staticmethod
+    def to_nx(g):
+        nx = pytest.importorskip("networkx")
+        out = nx.Graph()
+        out.add_nodes_from(range(g.n))
+        out.add_edges_from(g.edges)
+        return out
+
+    @staticmethod
+    def connected_root(rnd, n, subcubic):
+        if subcubic:
+            h = random_subcubic_graph(rnd, n)
+        else:
+            p = rnd.uniform(4, 8) / n
+            h = Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+        comp = max(h.connected_components(), key=len)
+        return h.induced(comp)[0]
+
+    @pytest.mark.parametrize("subcubic", [True, False])
+    def test_root_line_graph_matches_networkx(self, subcubic):
+        nx = pytest.importorskip("networkx")
+        rnd = random.Random(71 if subcubic else 72)
+        for _ in range(8):
+            root = self.connected_root(rnd, rnd.randint(100, 400), subcubic)
+            lg, _ = line_graph(root)
+            perm = list(range(lg.n))
+            rnd.shuffle(perm)
+            g = Graph(lg.n, [(perm[a], perm[b]) for a, b in lg.edges])
+            rm = recognize_line_graph(g)
+            assert rm is not None
+            e2v = rm.edge_to_vertex
+            derived = {
+                tuple(sorted((e2v[tuple(sorted(e))], e2v[tuple(sorted(f))])))
+                for e, f in nx.line_graph(self.to_nx(rm.root)).edges
+            }
+            assert derived == set(g.edges)
+            assert sorted(e2v.values()) == list(range(g.n))
+
+    def test_non_line_graphs_agree_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rnd = random.Random(73)
+        graphs = [squared_cycle(n) for n in (7, 8, 11, 30, 101)]
+        for _ in range(10):
+            sizes = [rnd.choice((1, 1, 2)) for _ in range(rnd.randint(6, 60))]
+            sizes[0] = 2
+            graphs.append(cycle_blowup(sizes))
+        for g in graphs:
+            with pytest.raises(nx.NetworkXError):
+                nx.inverse_line_graph(self.to_nx(g))
+            assert recognize_line_graph(g) is None

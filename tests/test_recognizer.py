@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from conftest import random_graph
 
+from tperfect import recognizer
 from tperfect.core import (
     Graph,
     Separation,
@@ -14,9 +16,17 @@ from tperfect.core import (
 )
 from tperfect.corpus import generate_corpus
 from tperfect.errors import GraphInputError, NotClawFreeError
-from tperfect.linegraph import line_graph
+from tperfect.linegraph import line_graph, recognize_line_graph
 from tperfect.oracle import is_t_perfect_bruteforce
-from tperfect.recognizer import build_reduced_sides, find_claw, is_t_perfect
+from tperfect.parity import DEFAULT_CONFIG
+from tperfect.recognizer import (
+    Decision,
+    _decide,
+    _Run,
+    build_reduced_sides,
+    find_claw,
+    is_t_perfect,
+)
 
 
 class TestFindClaw:
@@ -154,12 +164,88 @@ class TestOracleAgreement:
             assert is_t_perfect(g).t_perfect == is_t_perfect_bruteforce(g), g.edges
 
     @pytest.mark.slow
-    def test_master_property_exhaustive_to_nine(self):
+    def test_master_property_exhaustive_to_nine(self, clawfree_to_nine):
         # verdicts match the forbidden-t-minor closure on every connected
         # claw-free graph with at most nine vertices
-        from tperfect.corpus import enumerate_connected_graphs, is_clawfree
-
-        graphs = enumerate_connected_graphs(9, is_clawfree)
+        graphs = clawfree_to_nine
         assert len(graphs) == 5639
         for g in graphs:
             assert is_t_perfect(g).t_perfect == is_t_perfect_bruteforce(g), g.edges
+
+
+def claw_first_decision(g):
+    """Reference for `is_t_perfect`: the claw scan first, then every
+    component through `_decide` with a root built for it."""
+    witness = find_claw(g)
+    if witness is not None:
+        raise NotClawFreeError(witness.centre, witness.leaves)
+    run = _Run(DEFAULT_CONFIG)
+    origins = tuple(frozenset([v]) for v in range(g.n))
+    verdict = True
+    for comp in g.connected_components():
+        sub, sub_origins = g, origins
+        if len(comp) < g.n:
+            run.log("component", origins, comp, {"n": len(comp)})
+            sub, old_to_new = g.induced(comp)
+            sub_origins = tuple(origins[old] for old in old_to_new)
+        if not _decide(run, sub, sub_origins, recognize_line_graph(sub)):
+            verdict = False
+            break
+    stats = {
+        "decide_calls": run.decide_calls,
+        "parity_queries": run.parity_queries,
+        "theta_rules": run.theta_rules,
+        "rule_applications": run.decide_calls + run.theta_rules,
+    }
+    return Decision(verdict, tuple(run.trace), stats)
+
+
+class TestRootBeforeClawScan:
+    def test_claw_witness_is_find_claws(self):
+        rnd = random.Random(81)
+        seen = {True: 0, False: 0}
+        for _ in range(600):
+            n = rnd.randint(4, 14)
+            g = random_graph(rnd, n, rnd.uniform(0.1, 0.5))
+            witness = find_claw(g)
+            if witness is None:
+                continue
+            with pytest.raises(NotClawFreeError) as exc:
+                is_t_perfect(g)
+            assert (exc.value.centre, exc.value.leaves) == (witness.centre, witness.leaves)
+            seen[g.is_connected()] += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_decisions_match_claw_first_reference(self, clawfree_to_nine):
+        for g in clawfree_to_nine:
+            assert is_t_perfect(g).to_json() == claw_first_decision(g).to_json(), g.edges
+
+    def test_disjoint_unions_match_claw_first_reference(self, clawfree_to_nine):
+        rnd = random.Random(82)
+        for _ in range(400):
+            parts = rnd.sample(clawfree_to_nine, rnd.randint(2, 3))
+            edges, n = [], 0
+            for h in parts:
+                edges += [(u + n, v + n) for u, v in h.edges]
+                n += h.n
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+            assert is_t_perfect(g).to_json() == claw_first_decision(g).to_json(), g.edges
+
+    def test_one_root_search_and_no_claw_scan_on_line_graphs(self, monkeypatch):
+        calls = {"root": 0, "claw": 0}
+
+        def counted(name, fn):
+            def wrapper(g):
+                calls[name] += 1
+                return fn(g)
+
+            return wrapper
+
+        monkeypatch.setattr(recognizer, "recognize_line_graph", counted("root", recognize_line_graph))
+        monkeypatch.setattr(recognizer, "find_claw", counted("claw", find_claw))
+        is_t_perfect(line_graph(complete_graph(4))[0])
+        assert calls == {"root": 1, "claw": 0}
+        is_t_perfect(squared_cycle(7))  # 3-connected, not a line graph
+        assert calls == {"root": 2, "claw": 1}

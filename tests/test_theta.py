@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from tperfect import theta
 from tperfect.core import (
     Graph,
     claw,
@@ -453,6 +454,26 @@ class TestDispatcher:
         g = complete_graph(3)
         with pytest.raises(GraphInputError):
             decide_few_odd_edges(g, trivial_view(g))
+
+    def test_pipeline_decomposes_each_block_once(self, monkeypatch):
+        # a 5-cycle with the chord 0-2 (a skewed theta on 0 and 2): its BFS
+        # 2-colouring leaves the one odd-class edge 1-2, so phase two runs
+        # on the block just found
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+        assert len(spanning_tree_view(g).odd_edges) == 1
+        passes = []
+        monkeypatch.setattr(theta, "blocks", lambda h: passes.append(h.n) or blocks(h))
+        verdict = has_skewed_theta(g)
+        assert passes == [5]
+        assert verdict.trace == (
+            ("block", {"vertices": [0, 1, 2, 3, 4]}),
+            ("opposite-side-branch-pair", {"pair": [0, 2]}),
+        )
+        # the public forms still restrict to blocks themselves
+        view = spanning_tree_view(g)
+        assert decide_few_odd_edges(g, view).trace == verdict.trace[1:]
+        assert one_odd_edge(g, view).trace == verdict.trace[1:]
+        assert passes == [5, 5, 5]
 
 
 class TestEndToEnd:
