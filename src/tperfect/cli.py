@@ -98,10 +98,7 @@ def _read_graphs(path: str, fmt: str | None) -> list[tuple[str, GraphDocument]]:
 
 
 def _parity_config(args) -> ParityConfig:
-    return ParityConfig(
-        backend=args.parity_backend,
-        max_exhaustive_n=args.max_exhaustive_n,
-    )
+    return ParityConfig(max_exhaustive_n=args.max_exhaustive_n)
 
 
 def _emit(report: Report, out) -> None:
@@ -155,10 +152,8 @@ def _cmd_recognize(args, out) -> int:
 
 
 def _cmd_skewed_theta(args, out) -> int:
-    config = _parity_config(args)
-
     def decide(g):
-        verdict = has_skewed_theta(g, config)
+        verdict = has_skewed_theta(g)
         result = {"outcome": verdict.outcome}
         if args.trace:
             result["trace"] = [[rule, info] for rule, info in verdict.trace]
@@ -263,7 +258,7 @@ def _cmd_corpus_check(args, out) -> int:
 
 def _config_dict(args) -> dict:
     cfg = {}
-    for key in ("parity_backend", "max_exhaustive_n", "format", "trace"):
+    for key in ("max_exhaustive_n", "format", "trace"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg
@@ -273,21 +268,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tperfect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="input file (.g6/.el or - for stdin)")
-            p.add_argument("--format", choices=("graph6", "edge-list"))
-        p.add_argument("--parity-backend", choices=("exhaustive", "polynomial"),
-                       default="exhaustive")
-        p.add_argument("--max-exhaustive-n", type=int, default=20)
+    def add_common(p):
+        p.add_argument("file", help="input file (.g6/.el or - for stdin)")
+        p.add_argument("--format", choices=("graph6", "edge-list"))
         p.add_argument("--trace", action="store_true")
 
-    add_common(sub.add_parser("recognize", help="decide t-perfection"))
+    p = sub.add_parser("recognize", help="decide t-perfection")
+    add_common(p)
+    p.add_argument("--max-exhaustive-n", type=int, default=20)
     add_common(sub.add_parser("skewed-theta", help="skewed theta in a subcubic graph"))
-    p = sub.add_parser("line-root", help="reconstruct a line-graph root")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("graph6", "edge-list"))
-    p.add_argument("--trace", action="store_true")
+    add_common(sub.add_parser("line-root", help="reconstruct a line-graph root"))
     p = sub.add_parser("oracle", help="brute-force ground truth")
     p.add_argument("file")
     p.add_argument("--format", choices=("graph6", "edge-list"))
@@ -304,8 +294,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parity-backend", choices=("exhaustive", "polynomial"),
-                   default="exhaustive")
     p.add_argument("--max-exhaustive-n", type=int, default=20)
     return parser
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import GraphInputError, check
-from .graph import Edge, Graph, edge_key
+from .graph import Edge, Graph, bfs_path, edge_key
 
 
 @dataclass(frozen=True)
@@ -249,35 +249,20 @@ def bfs_spanning_tree(g: Graph, root: int = 0) -> set[Edge]:
     return tree
 
 
-def spanning_tree_fundamental_cycle(
-    g: Graph, tree: set[Edge], e: Edge
-) -> list[int]:
+def spanning_tree_fundamental_cycle(g: Graph, tree: Graph, e: Edge) -> list[int]:
     """The unique cycle in tree + e, as an ordered vertex sequence starting
-    and ending at e's endpoints (the closing edge e is implicit)."""
+    and ending at e's endpoints (the closing edge e is implicit).
+
+    `tree` is a spanning tree of g as a graph on g's vertices; callers
+    with several non-tree edges build it once.
+    """
     e = edge_key(*e)
-    if e in tree:
+    in_range = 0 <= e[0] and e[1] < g.n
+    if in_range and tree.has_edge(*e):
         raise GraphInputError(f"edge {e} already in the spanning tree")
-    if not (0 <= e[0] and e[1] < g.n and g.has_edge(*e)):
+    if not (in_range and g.has_edge(*e)):
         raise GraphInputError(f"edge {e} not in the graph")
-    adj: dict[int, list[int]] = {}
-    for u, v in tree:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    a, b = e
-    parent: dict[int, int | None] = {a: None}
-    queue = [a]
-    head = 0
-    while head < len(queue) and b not in parent:
-        x = queue[head]
-        head += 1
-        for y in sorted(adj.get(x, ())):
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    if b not in parent:
+    path = bfs_path(tree, {e[0]}, {e[1]})
+    if path is None:
         raise GraphInputError("tree does not span the endpoints of e")
-    path = [b]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
     return path

@@ -1,76 +1,92 @@
-"""Exact isomorphism for small graphs via degree-pruned backtracking.
+"""Canonical forms: one isomorphism engine for the recognizer, the oracle
+and the corpus enumerator.
 
-Only ever needed against fixed graphs on at most 10 vertices (plus test
-cross-checks), so a guarded matcher suffices; no canonical-form machinery
-lives here.
+Colour refinement to a stable colouring, then a lexicographic-minimum
+search over the vertex orders that respect it (McKay, "Practical graph
+isomorphism", 1981).  Two graphs are isomorphic exactly when their
+canonical forms are equal.
 """
 
 from __future__ import annotations
 
-from ..errors import SizeGuardError
 from .graph import Graph
 
-SIZE_GUARD = 16
 
-
-def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
-    """A vertex bijection g->h preserving adjacency exactly, or None."""
-    if g.n != h.n or g.m != h.m:
-        return None
-    if g.degree_sequence() != h.degree_sequence():
-        return None
+def _stable_colors(g: Graph) -> list[int]:
+    """Iterated neighborhood refinement to a stable coloring whose color
+    indices are isomorphism-invariant (signatures are sorted globally)."""
     n = g.n
-    if n == 0:
-        return {}
+    colors = [g.degree(v) for v in range(n)]
+    ranks = {c: i for i, c in enumerate(sorted(set(colors)))}
+    colors = [ranks[c] for c in colors]
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+            for v in range(n)
+        ]
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranks[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
 
-    # Order g's vertices so each one (after the first) touches a placed
-    # vertex when possible; rare disconnected leftovers are appended.
-    order: list[int] = []
-    placed_set: set[int] = set()
-    pool = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    while len(order) < n:
-        nxt = next(
-            (v for v in pool if v not in placed_set and
-             (not order or g.neighbors(v) & placed_set)),
-            None,
-        )
-        if nxt is None:
-            nxt = next(v for v in pool if v not in placed_set)
-        order.append(nxt)
-        placed_set.add(nxt)
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+def canonical_form(g: Graph) -> tuple:
+    """Minimum adjacency bitstring over the refinement-respecting vertex
+    permutations (vertices listed in nondecreasing stable-color order).
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        deg = g.degree(v)
-        for w in range(n):
-            if w in used or h.degree(w) != deg:
+    Stable colors are isomorphism-invariant, so isomorphic graphs range
+    over identical matrix sets and the minimum is a complete canonical
+    form; restricting to color-respecting permutations keeps the
+    branch-and-bound tiny.  Columns grow incrementally: extending the
+    permutation shifts every pending column left and appends one
+    adjacency bit.
+    """
+    n = g.n
+    if n <= 1:
+        return (n,)
+    adj = [0] * n
+    for u, w in g.edges:
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+    colors = _stable_colors(g)
+    position_color = sorted(colors)
+    best: list[int] | None = None
+
+    def descend(k: int, used: int, pending: dict[int, int], cols: list[int]):
+        nonlocal best
+        if k == n:
+            if best is None or cols < best:
+                best = cols.copy()
+            return
+        want = position_color[k]
+        cmin = None
+        cands: list[int] = []
+        for v, col in pending.items():
+            if used >> v & 1 or colors[v] != want:
                 continue
-            ok = True
-            for u in order[:i]:
-                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
+            if cmin is None or col < cmin:
+                cmin, cands = col, [v]
+            elif col == cmin:
+                cands.append(v)
+        cols.append(cmin)
+        # incumbent may improve while siblings run; re-compare every time
+        if best is None or cols <= best[: k + 1]:
+            for v in cands:
+                av = adj[v]
+                nxt = {
+                    w: (col << 1) | ((av >> w) & 1)
+                    for w, col in pending.items()
+                    if w != v
+                }
+                descend(k + 1, used | (1 << v), nxt, cols)
+        cols.pop()
 
-    return mapping if extend(0) else None
+    descend(0, 0, {v: 0 for v in range(n)}, [])
+    assert best is not None
+    return (n, tuple(position_color), *best[1:])
 
 
 def is_isomorphic_small(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism decision, guarded to graphs on <= 16 vertices."""
-    if g.n > SIZE_GUARD or h.n > SIZE_GUARD:
-        raise SizeGuardError(
-            f"isomorphism guard: {g.n}, {h.n} exceed {SIZE_GUARD} vertices"
-        )
-    return find_isomorphism(g, h) is not None
+    """Exact isomorphism decision by canonical forms."""
+    return g.n == h.n and g.m == h.m and canonical_form(g) == canonical_form(h)

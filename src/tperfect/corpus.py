@@ -6,10 +6,11 @@ import random
 from typing import Callable
 
 from .core.graph import Graph
+from .core.isomorphism import canonical_form
 from .core.named import NAMED_CATALOGUE, make_named
 from .errors import GraphInputError
 from .linegraph import line_graph
-from .oracle import canonical_form, find_claw_in
+from .oracle import find_claw_in
 
 KINDS = ("random-subcubic", "random-clawfree-via-linegraph", "named")
 

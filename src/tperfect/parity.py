@@ -1,19 +1,18 @@
-"""Parity-flavored path oracles behind pluggable backends.
+"""Parity-flavored path oracles.
 
 Two subproblems recur in the pipeline: does a claw-free graph contain an
 induced u-v path of prescribed parity, and do two prescribed terminal
-pairs admit disjoint linking paths.  Both ship with exhaustive backends
-that are correct on every graph and guarded by configurable size caps;
-polynomial replacements can be injected through the config without
-touching call sites.
+pairs admit disjoint linking paths.  Both are exhaustive searches that
+are correct on every graph and guarded by size caps: the induced-path
+cap is configurable (`ParityConfig.max_exhaustive_n`), the linkage cap
+is the constant `MAX_LINKAGE_N`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .core.graph import Edge, Graph
+from .core.graph import Graph, bfs_path
 from .errors import GraphInputError, SizeGuardError
 
 EVEN = "even"
@@ -36,7 +35,6 @@ class ParityQuery:
 @dataclass(frozen=True)
 class LinkageQuery:
     pairs: tuple[tuple[int, int], tuple[int, int]]
-    forbidden_edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self):
         (s1, t1), (s2, t2) = self.pairs
@@ -46,16 +44,13 @@ class LinkageQuery:
 
 @dataclass
 class ParityConfig:
-    """Backend selection and size guards for the exhaustive searches."""
+    """Size guard for the exhaustive induced-path search."""
 
-    backend: str = "exhaustive"
     max_exhaustive_n: int = 20
-    max_linkage_n: int = 64
-    induced_parity_backend: Callable[[Graph, ParityQuery], bool] | None = None
-    linkage_backend: Callable[[Graph, LinkageQuery], bool] | None = None
 
 
 DEFAULT_CONFIG = ParityConfig()
+MAX_LINKAGE_N = 64
 
 
 def exists_induced_path_with_parity(
@@ -63,14 +58,10 @@ def exists_induced_path_with_parity(
 ) -> bool:
     """Is there an induced u-v path whose length has the queried parity?
 
-    The exhaustive backend enumerates induced paths depth-first, keeping a
-    blocked set (vertices adjacent to the interior) and pruning branches
-    from which v is unreachable.
+    Enumerates induced paths depth-first, keeping a blocked set (vertices
+    adjacent to the interior) and pruning branches from which v is
+    unreachable.
     """
-    if config.backend == "polynomial":
-        if config.induced_parity_backend is None:
-            raise SizeGuardError("polynomial parity backend requested but not registered")
-        return config.induced_parity_backend(g, query)
     if g.n > config.max_exhaustive_n:
         raise SizeGuardError(
             f"induced-path search on {g.n} vertices exceeds cap "
@@ -111,54 +102,24 @@ def exists_induced_path_with_parity(
     return extend(u, 0, {u})
 
 
-def find_two_disjoint_paths(
-    g: Graph, query: LinkageQuery, config: ParityConfig = DEFAULT_CONFIG
-) -> tuple[list[int], list[int]] | None:
-    """Vertex-disjoint paths s1-t1 and s2-t2 avoiding forbidden edges.
+def find_two_disjoint_paths(g: Graph, query: LinkageQuery) -> tuple[list[int], list[int]] | None:
+    """Vertex-disjoint paths s1-t1 and s2-t2, or None.
 
     Trivial paths (si == ti) are allowed; the other path must then avoid
-    that vertex.  Exhaustive with reachability pruning; this finder always
-    runs exhaustively because callers need the witness paths, while the
-    boolean `two_disjoint_paths` honors an injected backend.
+    that vertex.  Exhaustive over s1-t1 paths, pruned by BFS reachability
+    of both remaining jobs; the s2-t2 path is a BFS shortest path.
     """
-    if g.n > config.max_linkage_n:
+    if g.n > MAX_LINKAGE_N:
         raise SizeGuardError(
             f"two-disjoint-paths search on {g.n} vertices exceeds cap "
-            f"{config.max_linkage_n}"
+            f"{MAX_LINKAGE_N}"
         )
     (s1, t1), (s2, t2) = query.pairs
-    dead = set(query.forbidden_edges)
-    work = g.without_edges(dead) if dead else g
-
-    def connected_avoiding(a: int, b: int, banned: set[int]) -> list[int] | None:
-        if a == b:
-            return [a]
-        if a in banned or b in banned:
-            return None
-        parent: dict[int, int | None] = {a: None}
-        queue = [a]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for y in work.sorted_neighbors(x):
-                if y in parent or y in banned:
-                    continue
-                parent[y] = x
-                if y == b:
-                    path = [b]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(y)
-        return None
-
     if s1 == t1:
-        second = connected_avoiding(s2, t2, {s1})
+        second = bfs_path(g, {s2}, {t2}, banned_vertices={s1})
         return ([s1], second) if second is not None else None
     if s2 == t2:
-        first = connected_avoiding(s1, t1, {s2})
+        first = bfs_path(g, {s1}, {t1}, banned_vertices={s2})
         return (first, [s2]) if first is not None else None
 
     sink_side = {s2, t2}
@@ -166,18 +127,18 @@ def find_two_disjoint_paths(
     def search(path: list[int], on_path: set[int]) -> tuple[list[int], list[int]] | None:
         last = path[-1]
         if last == t1:
-            second = connected_avoiding(s2, t2, on_path)
+            second = bfs_path(g, {s2}, {t2}, banned_vertices=on_path)
             if second is not None:
                 return list(path), second
             return None
-        for w in work.sorted_neighbors(last):
+        for w in g.sorted_neighbors(last):
             if w in on_path or w in sink_side:
                 continue
             path.append(w)
             on_path.add(w)
             # both remaining jobs must stay feasible
-            if connected_avoiding(s2, t2, on_path) is not None and (
-                w == t1 or connected_avoiding(w, t1, on_path - {w}) is not None
+            if bfs_path(g, {s2}, {t2}, banned_vertices=on_path) is not None and (
+                w == t1 or bfs_path(g, {w}, {t1}, banned_vertices=on_path - {w}) is not None
             ):
                 found = search(path, on_path)
                 if found is not None:
@@ -189,17 +150,7 @@ def find_two_disjoint_paths(
     return search([s1], {s1})
 
 
-def two_disjoint_paths(
-    g: Graph, query: LinkageQuery, config: ParityConfig = DEFAULT_CONFIG
-) -> bool:
-    """Do internally vertex-disjoint s1-t1 and s2-t2 paths exist, avoiding
-    the forbidden edges?"""
-    if config.linkage_backend is not None:
-        return config.linkage_backend(g, query)
-    return find_two_disjoint_paths(g, query, config) is not None
-
-
-def has_two_disjoint_odd_cycles(g: Graph, view, config: ParityConfig = DEFAULT_CONFIG) -> bool:
+def has_two_disjoint_odd_cycles(g: Graph, view) -> bool:
     """With exactly two odd-class edges, two vertex-disjoint odd cycles
     exist iff the odd edges' endpoint pairs admit disjoint linking paths
     in the graph without those edges.
@@ -214,6 +165,4 @@ def has_two_disjoint_odd_cycles(g: Graph, view, config: ParityConfig = DEFAULT_C
     if set(o1) & set(o2):
         return False
     stripped = g.without_edges([o1, o2])
-    return two_disjoint_paths(
-        stripped, LinkageQuery((o1, o2)), config
-    )
+    return find_two_disjoint_paths(stripped, LinkageQuery((o1, o2))) is not None

@@ -177,7 +177,7 @@ def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
                 {"max_degree": root.root.max_degree()},
             )
             return False
-        verdict = has_skewed_theta(root.root, run.config)
+        verdict = has_skewed_theta(root.root)
         run.theta_rules += len(verdict.trace)
         run.log(
             "line-graph-root-theta",

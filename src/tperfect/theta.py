@@ -48,9 +48,7 @@ from .core.graph import (
 )
 from .errors import GraphInputError, check
 from .parity import (
-    DEFAULT_CONFIG,
     LinkageQuery,
-    ParityConfig,
     find_two_disjoint_paths,
     has_two_disjoint_odd_cycles,
 )
@@ -100,11 +98,6 @@ def make_view(g: Graph, labels) -> OddEdgeView:
     odd = tuple(e for e in g.edges if bp.labels[e[0]] == bp.labels[e[1]])
     even = Graph._trusted(g.n, [e for e in g.edges if bp.labels[e[0]] != bp.labels[e[1]]])
     return OddEdgeView(g, bp, odd, even)
-
-
-def trivial_view(g: Graph) -> OddEdgeView:
-    """The start state: one side holds every vertex, all edges odd-class."""
-    return make_view(g, (0,) * g.n)
 
 
 def spanning_tree_view(g: Graph) -> OddEdgeView:
@@ -192,24 +185,15 @@ def crossing_on_cycle(cycle: list[int], p: list[int], q: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _split_tree_at_edge(tree_edges: set[Edge], e: Edge):
-    """Split a tree's edge set at one of its edges; returns the two sides
-    as (vertex set, edge set) pairs containing e's endpoints."""
+def _split_tree_at_edge(n: int, tree_edges: set[Edge], e: Edge):
+    """Split a tree's edge set (on vertices below n) at one of its edges;
+    returns the two sides as (vertex set, edge set) pairs containing e's
+    endpoints."""
     rest = set(tree_edges) - {e}
-    adj: dict[int, set[int]] = {}
-    for a, b in rest:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
+    comps = Graph._trusted(n, sorted(rest)).connected_components()
     sides = []
     for seed in e:
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
+        comp = set(next(c for c in comps if seed in c))
         sides.append((comp, {f for f in rest if f[0] in comp}))
     check(not (sides[0][0] & sides[1][0]), "edge removal must split the tree")
     return sides[0], sides[1]
@@ -286,13 +270,10 @@ def triads(
         )
         return cut
 
-    tree = bfs_spanning_tree(gp)
-    cycles = {}
+    tree = Graph._trusted(h.n, sorted(bfs_spanning_tree(gp)))
     cycle_edges = {}
     for o in odds:
-        cyc = spanning_tree_fundamental_cycle(h, tree, o)
-        cycles[o] = cyc
-        es = set(path_edges(cyc))
+        es = set(path_edges(spanning_tree_fundamental_cycle(h, tree, o)))
         es.add(o)
         cycle_edges[o] = es
 
@@ -306,7 +287,7 @@ def triads(
         union_tree = (
             cycle_edges[o1] | cycle_edges[o2] | cycle_edges[o3]
         ) - set(odds)
-        side1, side2 = _split_tree_at_edge(union_tree, e)
+        side1, side2 = _split_tree_at_edge(h.n, union_tree, e)
         return _tree_pair_cut(h, view, side1, side2, odds)
 
     # the unique cycle through all three odd edges: exactly the edges lying
@@ -357,7 +338,7 @@ def triads(
     e_cut = edge_key(s1[i], s1[i + 1])
     pieces = ring - set(odds) - {e_cut}
     union = pieces | set(path_edges(p)) | set(path_edges(q))
-    comps = _edge_components(union)
+    comps = _edge_components(h.n, union)
     check(len(comps) == 2, "crossing split must leave two components")
     return _tree_pair_cut(h, view, comps[0], comps[1], odds)
 
@@ -404,28 +385,15 @@ def _arcs_between(cycle_order: list[int], odds) -> list[list[int]]:
     return arcs
 
 
-def _edge_components(edges: set[Edge]):
-    comps = []
-    adj: dict[int, set[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append((comp, {e for e in edges if e[0] in comp}))
-    return comps
+def _edge_components(n: int, edges: set[Edge]):
+    """Components of an edge set on vertices below n, ordered by smallest
+    vertex, as (vertex set, edge set) pairs; isolated vertices are left out."""
+    comps = Graph._trusted(n, sorted(edges)).connected_components()
+    return [
+        (c, {e for e in edges if e[0] in c})
+        for c in map(set, comps)
+        if len(c) > 1
+    ]
 
 
 def _trim_xy_path(path: list[int], xs: set[int], ys: set[int]) -> list[int]:
@@ -475,9 +443,7 @@ def _align_connection_pair(gp, s1, arc2, arc3, p, q):
 # ---------------------------------------------------------------------------
 
 
-def decide_few_odd_edges(
-    h: Graph, view: OddEdgeView, config: ParityConfig = DEFAULT_CONFIG
-) -> ThetaVerdict:
+def decide_few_odd_edges(h: Graph, view: OddEdgeView) -> ThetaVerdict:
     """Dispatch on the number of odd-class edges per block: zero means no
     skewed theta, one goes to the single-odd-edge flow test, two goes
     through the small-cut pipeline."""
@@ -491,7 +457,7 @@ def decide_few_odd_edges(
         if len(blk) < h.n:
             sub, old_to_new = h.induced(blk)
             sview = view_for_subgraph(view, sub, old_to_new)
-        verdict = _few_odd_block(sub, sview, config)
+        verdict = _few_odd_block(sub, sview)
         trace.extend(verdict.trace)
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))
@@ -499,7 +465,7 @@ def decide_few_odd_edges(
     return ThetaVerdict(False, tuple(trace))
 
 
-def _few_odd_block(h: Graph, view: OddEdgeView, config: ParityConfig) -> ThetaVerdict:
+def _few_odd_block(h: Graph, view: OddEdgeView) -> ThetaVerdict:
     """`decide_few_odd_edges` on one 2-connected block, without its block
     pass or closing trace entry."""
     if not view.odd_edges:
@@ -509,12 +475,10 @@ def _few_odd_block(h: Graph, view: OddEdgeView, config: ParityConfig) -> ThetaVe
     res = two_odd_cut(h, view)
     if isinstance(res, ThetaFound):
         return ThetaVerdict(True, ((res.rule, {"n": h.n, "m": h.m}),))
-    return _two_odd_block(h, view, res, config)
+    return _two_odd_block(h, view, res)
 
 
-def one_odd_edge(
-    h: Graph, view: OddEdgeView, config: ParityConfig = DEFAULT_CONFIG
-) -> ThetaVerdict:
+def one_odd_edge(h: Graph, view: OddEdgeView) -> ThetaVerdict:
     """Decide skewed-theta presence with at most one odd-class edge e.
 
     Lemma.  Let B be a 2-connected subcubic graph whose bipartition has
@@ -632,12 +596,7 @@ def two_odd_cut(h: Graph, view: OddEdgeView) -> ThetaFound | EdgeCut:
     return cut
 
 
-def two_odd_decide(
-    h: Graph,
-    view: OddEdgeView,
-    f: EdgeCut,
-    config: ParityConfig = DEFAULT_CONFIG,
-) -> ThetaVerdict:
+def two_odd_decide(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
     """Decide skewed-theta presence given a small exact cut through both
     odd-class edges: probe one-edge removals, exclude two disjoint odd
     cycles, then split along the cut into two strictly smaller two-odd
@@ -648,7 +607,7 @@ def two_odd_decide(
     if not (o1 in f.edges and o2 in f.edges and len(f.edges) <= 4):
         raise GraphInputError("cut must contain both odd edges and at most two others")
     if is_two_connected(h):
-        return _two_odd_block(h, view, f, config)
+        return _two_odd_block(h, view, f)
     trace: list[tuple[str, dict]] = []
     dec = blocks(h)
     b1 = next(b for b in dec.blocks if set(o1) <= b)
@@ -670,11 +629,11 @@ def two_odd_decide(
     if isinstance(res, ThetaFound):
         trace.append((res.rule, {"n": sub.n}))
         return ThetaVerdict(True, tuple(trace))
-    verdict = _two_odd_block(sub, sview, res, config)
+    verdict = _two_odd_block(sub, sview, res)
     return ThetaVerdict(verdict.contains, tuple(trace) + verdict.trace)
 
 
-def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut, config) -> ThetaVerdict:
+def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
     """`two_odd_decide` once h is known to be 2-connected; f is a cut that
     `two_odd_cut` returned or `two_odd_decide` checked."""
     o1, o2 = view.odd_edges
@@ -696,7 +655,7 @@ def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut, config) -> ThetaVerd
     for o_probe in (o1, o2):
         probe = h.without_edge(*o_probe)
         pview = make_view(probe, view.bipartition.labels)
-        verdict = one_odd_edge(probe, pview, config)
+        verdict = one_odd_edge(probe, pview)
         trace.append(("probe-without-odd-edge", {"edge": list(o_probe)}))
         trace.extend(verdict.trace)
         if verdict.contains:
@@ -707,17 +666,17 @@ def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut, config) -> ThetaVerd
         pview = make_view(probe, view.bipartition.labels)
         flipped = flip(pview, cand)
         check(len(flipped.odd_edges) == 1, "probe flip leaves one odd edge")
-        verdict = one_odd_edge(probe, flipped, config)
+        verdict = one_odd_edge(probe, flipped)
         trace.append(("probe-without-even-edge", {"edge": list(e_probe)}))
         trace.extend(verdict.trace)
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))
 
-    if has_two_disjoint_odd_cycles(h, view, config):
+    if has_two_disjoint_odd_cycles(h, view):
         trace.append(("two-disjoint-odd-cycles", {}))
         return ThetaVerdict(True, tuple(trace))
 
-    split = _split_along_cut(h, view, f, o1, o2, e1, e2, config)
+    split = _split_along_cut(h, view, f, o1, o2, e1, e2)
     for child, cview, tag in split:
         check(child.m < h.m, "split sides lose edges")
         trace.append((tag, {"n": child.n, "m": child.m}))
@@ -726,7 +685,7 @@ def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut, config) -> ThetaVerd
         "split sides stay within the additive edge bound",
     )
     for child, cview, _ in split:
-        verdict = decide_few_odd_edges(child, cview, config)
+        verdict = decide_few_odd_edges(child, cview)
         trace.extend(verdict.trace)
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))
@@ -760,7 +719,7 @@ def small_flip_cut(h: Graph, view: OddEdgeView) -> EdgeCut | None:
     return cut
 
 
-def _solve_side_linkage(h, side, x_t, y_t, g1, g2, config):
+def _solve_side_linkage(h, side, x_t, y_t, g1, g2):
     """Disjoint paths inside one cut side pairing {x_t, y_t} onto {g1, g2};
     returns (to_from_x, to_from_y) as (target, parity) or None."""
     sub, old_to_new = h.induced(side)
@@ -771,7 +730,7 @@ def _solve_side_linkage(h, side, x_t, y_t, g1, g2, config):
         pair2 = (old_to_new[y_t], old_to_new[t_for_y])
         if set(pair1) & set(pair2):
             return None
-        found = find_two_disjoint_paths(sub, LinkageQuery((pair1, pair2)), config)
+        found = find_two_disjoint_paths(sub, LinkageQuery((pair1, pair2)))
         if found is None:
             return None
         px, py = found
@@ -780,7 +739,7 @@ def _solve_side_linkage(h, side, x_t, y_t, g1, g2, config):
     return attempt(g1, g2) or attempt(g2, g1)
 
 
-def _split_along_cut(h, view, f, o1, o2, e1, e2, config):
+def _split_along_cut(h, view, f, o1, o2, e1, e2):
     """Build the two replacement sides: each keeps one cut side and
     replaces the far detours through the other side by one- or two-edge
     paths of the same parity class."""
@@ -796,7 +755,7 @@ def _split_along_cut(h, view, f, o1, o2, e1, e2, config):
     a1, a2 = endpoint_in(e1, c1), endpoint_in(e1, c2)
     b1, b2 = endpoint_in(e2, c1), endpoint_in(e2, c2)
 
-    side1 = _solve_side_linkage(h, c1, x1, y1, a1, b1, config)
+    side1 = _solve_side_linkage(h, c1, x1, y1, a1, b1)
     check(side1 is not None, "first side admits a disjoint pairing")
     (u1, p1_parity), (v1, q1_parity) = side1
     # name the even edges by the pairing: x's target u1 lies on "edge-P",
@@ -812,7 +771,7 @@ def _split_along_cut(h, view, f, o1, o2, e1, e2, config):
         not (set(pairs2[0]) & set(pairs2[1])),
         "forced far-side pairing has distinct terminals",
     )
-    found2 = find_two_disjoint_paths(sub2, LinkageQuery(pairs2), config)
+    found2 = find_two_disjoint_paths(sub2, LinkageQuery(pairs2))
     check(found2 is not None, "far side admits the crosswise pairing")
     p2_parity = (len(found2[0]) - 1) % 2
     q2_parity = (len(found2[1]) - 1) % 2
@@ -863,9 +822,7 @@ def _one_side_graph(h, view, keep_side, x_k, y_k, p_repl, q_repl):
 # ---------------------------------------------------------------------------
 
 
-def has_skewed_theta(
-    h: Graph, config: ParityConfig = DEFAULT_CONFIG
-) -> ThetaVerdict:
+def has_skewed_theta(h: Graph) -> ThetaVerdict:
     """Decide whether a subcubic graph contains a skewed theta.
 
     Per 2-connected block: start from a BFS spanning-tree 2-colouring,
@@ -893,7 +850,7 @@ def has_skewed_theta(
             view = flip(view, res)
             trace.append(("flip", {"odd": len(view.odd_edges)}))
             check(len(view.odd_edges) < before, "flip must make progress")
-        verdict = _few_odd_block(sub, view, config)
+        verdict = _few_odd_block(sub, view)
         trace.extend(verdict.trace)
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))

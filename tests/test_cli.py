@@ -63,6 +63,16 @@ class TestExitCodes:
         code, _ = run(["definitely-not-a-command"])
         assert code == 64
 
+    def test_removed_options_are_usage_errors(self, files):
+        for argv in (
+            ["recognize", files["good"], "--parity-backend", "exhaustive"],
+            ["skewed-theta", files["theta"], "--parity-backend", "exhaustive"],
+            ["corpus-check", "--samples", "1", "--parity-backend", "exhaustive"],
+            ["skewed-theta", files["theta"], "--max-exhaustive-n", "30"],
+        ):
+            code, text = run(argv)
+            assert code == 64 and text == "", argv
+
     def test_missing_file(self):
         code, _ = run(["recognize", "/nonexistent/path.g6"])
         assert code == 2
@@ -177,6 +187,19 @@ class TestErrorIsolation:
         assert recs[1]["result"]["error"] == "size-guard"
         assert "exceeds cap 20" in recs[1]["result"]["message"]
         assert recs[2]["result"]["verdict"] == "not-t-perfect"
+
+    def test_max_exhaustive_n_lifts_the_induced_path_cap(self, tmp_path):
+        # the 24-vertex blow-up makes a parity query on 23 vertices
+        p = tmp_path / "blowup.g6"
+        p.write_text(graph_to_graph6(cycle_blowup([1] * 10 + [2] + [1] * 10 + [2])) + "\n")
+        code, text = run(["recognize", str(p)])
+        (rec,) = reports(text)
+        assert code == 2 and rec["result"]["error"] == "size-guard"
+        assert rec["config"]["max_exhaustive_n"] == 20
+        code, text = run(["recognize", str(p), "--max-exhaustive-n", "30"])
+        (rec,) = reports(text)
+        assert code == 0 and rec["result"]["verdict"] == "t-perfect"
+        assert rec["config"] == {"format": None, "max_exhaustive_n": 30, "trace": False}
 
     def test_skewed_theta_reports_input_error_per_graph(self, tmp_path):
         p = tmp_path / "dense.g6"

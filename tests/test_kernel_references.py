@@ -1,16 +1,25 @@
-"""The set-level line-graph kernel and the vertex-stack block decomposition
-against the per-edge implementations they replaced, kept here verbatim in
-behaviour as references: same roots, same edge-to-vertex maps, same
-`BlockDecomposition`, same errors."""
+"""Kernel routines against the implementations they replaced, kept here
+verbatim in behaviour as references: the set-level line-graph kernel and
+the vertex-stack block decomposition (same roots, same edge-to-vertex maps,
+same `BlockDecomposition`, same errors), and the searches now routed
+through `bfs_path` and `Graph.connected_components` (same linkage paths,
+fundamental cycles, tree sides and edge components, same errors)."""
 
 import random
 from itertools import combinations
 
 from tperfect.core import Graph, complete_graph, cycle_graph
-from tperfect.core.connectivity import BlockDecomposition, blocks
+from tperfect.core.connectivity import (
+    BlockDecomposition,
+    bfs_spanning_tree,
+    blocks,
+    spanning_tree_fundamental_cycle,
+)
 from tperfect.core.graph import edge_key
 from tperfect.corpus import random_subcubic_graph
-from tperfect.errors import GraphInputError
+from tperfect.errors import GraphInputError, InternalInvariantError, SizeGuardError
+from tperfect.parity import LinkageQuery, find_two_disjoint_paths
+from tperfect.theta import _edge_components, _split_tree_at_edge
 from tperfect.linegraph import (
     RootMapping,
     _root_from_seed,
@@ -322,3 +331,239 @@ class TestBlocksKernel:
             assert blocks(tree) == ref_blocks(tree)
             assert len(blocks(tree).blocks) == n - 1
             assert blocks(cycle_graph(n + 1)) == ref_blocks(cycle_graph(n + 1))
+
+
+# -- references: the hand-rolled searches before `bfs_path` ----------------
+
+
+def ref_find_two_disjoint_paths(g, pairs, cap=64):
+    if g.n > cap:
+        raise SizeGuardError(
+            f"two-disjoint-paths search on {g.n} vertices exceeds cap {cap}"
+        )
+    (s1, t1), (s2, t2) = pairs
+
+    def connected_avoiding(a, b, banned):
+        if a == b:
+            return [a]
+        if a in banned or b in banned:
+            return None
+        parent = {a: None}
+        queue = [a]
+        head = 0
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            for y in g.sorted_neighbors(x):
+                if y in parent or y in banned:
+                    continue
+                parent[y] = x
+                if y == b:
+                    path = [b]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
+                queue.append(y)
+        return None
+
+    if s1 == t1:
+        second = connected_avoiding(s2, t2, {s1})
+        return ([s1], second) if second is not None else None
+    if s2 == t2:
+        first = connected_avoiding(s1, t1, {s2})
+        return (first, [s2]) if first is not None else None
+
+    sink_side = {s2, t2}
+
+    def search(path, on_path):
+        last = path[-1]
+        if last == t1:
+            second = connected_avoiding(s2, t2, on_path)
+            if second is not None:
+                return list(path), second
+            return None
+        for w in g.sorted_neighbors(last):
+            if w in on_path or w in sink_side:
+                continue
+            path.append(w)
+            on_path.add(w)
+            if connected_avoiding(s2, t2, on_path) is not None and (
+                w == t1 or connected_avoiding(w, t1, on_path - {w}) is not None
+            ):
+                found = search(path, on_path)
+                if found is not None:
+                    return found
+            path.pop()
+            on_path.remove(w)
+        return None
+
+    return search([s1], {s1})
+
+
+def ref_fundamental_cycle(g, tree, e):
+    e = edge_key(*e)
+    if e in tree:
+        raise GraphInputError(f"edge {e} already in the spanning tree")
+    if not (0 <= e[0] and e[1] < g.n and g.has_edge(*e)):
+        raise GraphInputError(f"edge {e} not in the graph")
+    adj = {}
+    for u, v in tree:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    a, b = e
+    parent = {a: None}
+    queue = [a]
+    head = 0
+    while head < len(queue) and b not in parent:
+        x = queue[head]
+        head += 1
+        for y in sorted(adj.get(x, ())):
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    if b not in parent:
+        raise GraphInputError("tree does not span the endpoints of e")
+    path = [b]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def ref_split_tree_at_edge(tree_edges, e):
+    rest = set(tree_edges) - {e}
+    adj = {}
+    for a, b in rest:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    sides = []
+    for seed in e:
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            x = stack.pop()
+            for y in adj.get(x, ()):
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        sides.append((comp, {f for f in rest if f[0] in comp}))
+    if sides[0][0] & sides[1][0]:
+        raise InternalInvariantError("edge removal must split the tree")
+    return sides[0], sides[1]
+
+
+def ref_edge_components(edges):
+    comps = []
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    seen = set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
+        comps.append((comp, {e for e in edges if e[0] in comp}))
+    return comps
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (GraphInputError, SizeGuardError, InternalInvariantError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def random_tree_edges(rnd, vertices):
+    """A random tree on the given vertices, as an edge set."""
+    order = list(vertices)
+    rnd.shuffle(order)
+    return {edge_key(order[rnd.randrange(i)], order[i]) for i in range(1, len(order))}
+
+
+class TestBfsRoutedSearches:
+    def test_linkage_matches_reference(self):
+        rnd = random.Random(16)
+        kinds = {"found": 0, "none": 0, "trivial": 0}
+        for _ in range(2500):
+            n = rnd.randint(4, 14)
+            if rnd.random() < 0.5:
+                g = random_subcubic_graph(rnd, n)
+            else:
+                p = rnd.uniform(0.15, 0.6)
+                g = Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+            s1, t1, s2, t2 = rnd.sample(range(n), 4)
+            if rnd.random() < 0.15:
+                t1 = s1
+            elif rnd.random() < 0.15:
+                t2 = s2
+            pairs = ((s1, t1), (s2, t2))
+            got = find_two_disjoint_paths(g, LinkageQuery(pairs))
+            assert got == ref_find_two_disjoint_paths(g, pairs), (g.edges, pairs)
+            kinds["trivial" if s1 == t1 or s2 == t2 else "none" if got is None else "found"] += 1
+        assert min(kinds.values()) > 150, kinds
+
+    def test_linkage_errors_match_reference(self):
+        g = cycle_graph(65)
+        pairs = ((0, 1), (2, 3))
+        got = result_or_error(find_two_disjoint_paths, g, LinkageQuery(pairs))
+        assert got == result_or_error(ref_find_two_disjoint_paths, g, pairs)
+        assert got[0] == "SizeGuardError"
+
+    def test_fundamental_cycles_match_reference(self):
+        rnd = random.Random(17)
+        errors = set()
+        cycles = 0
+        for g in corpus(17, 1500):
+            if g.n < 2 or not g.is_connected():
+                continue
+            tree = bfs_spanning_tree(g, rnd.randrange(g.n))
+            if rnd.random() < 0.3:
+                # any edge set, also a forest that misses e's endpoints or
+                # holds a cycle: both searches are BFS over sorted neighbours
+                tree = {e for e in g.edges if rnd.random() < 0.5}
+            as_graph = Graph(g.n, tree)
+            for e in list(g.edges) + [(0, g.n - 1), (g.n - 1, g.n)]:
+                got = result_or_error(spanning_tree_fundamental_cycle, g, as_graph, e)
+                assert got == result_or_error(ref_fundamental_cycle, g, tree, e), (g.edges, tree, e)
+                if isinstance(got, tuple):
+                    errors.add(got[1].split()[-1])
+                else:
+                    cycles += 1
+        assert errors == {"tree", "graph", "e"} and cycles > 2000, errors
+
+    def test_tree_split_matches_reference(self):
+        rnd = random.Random(18)
+        for _ in range(1500):
+            n = rnd.randint(2, 40)
+            vertices = rnd.sample(range(n), rnd.randint(2, n))
+            tree = random_tree_edges(rnd, vertices)
+            if rnd.random() < 0.1:
+                # a cycle through e: the split check fails in both
+                a, b = rnd.sample(vertices, 2)
+                tree.add(edge_key(a, b))
+            e = rnd.choice(sorted(tree))
+            got = result_or_error(_split_tree_at_edge, n, tree, e)
+            assert got == result_or_error(ref_split_tree_at_edge, tree, e), (n, tree, e)
+
+    def test_edge_components_match_reference(self):
+        rnd = random.Random(19)
+        many = 0
+        for _ in range(1500):
+            n = rnd.randint(1, 30)
+            p = rnd.uniform(0.02, 0.3)
+            edges = {e for e in combinations(range(n), 2) if rnd.random() < p}
+            got = _edge_components(n, edges)
+            assert got == ref_edge_components(edges), (n, edges)
+            many += len(got) > 1
+        assert many > 300

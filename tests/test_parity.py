@@ -12,7 +12,6 @@ from tperfect.parity import (
     exists_induced_path_with_parity,
     find_two_disjoint_paths,
     has_two_disjoint_odd_cycles,
-    two_disjoint_paths,
 )
 from tperfect.theta import make_view
 
@@ -68,22 +67,6 @@ class TestInducedParity:
         cfg = ParityConfig(max_exhaustive_n=30)
         assert exists_induced_path_with_parity(g, ParityQuery(0, 5, "odd"), cfg)
 
-    def test_polynomial_backend_hook(self):
-        calls = []
-
-        def fake(g, q):
-            calls.append(q)
-            return True
-
-        cfg = ParityConfig(backend="polynomial", induced_parity_backend=fake)
-        assert exists_induced_path_with_parity(cycle_graph(4), ParityQuery(0, 2, "odd"), cfg)
-        assert calls
-
-    def test_polynomial_backend_missing(self):
-        cfg = ParityConfig(backend="polynomial")
-        with pytest.raises(SizeGuardError):
-            exists_induced_path_with_parity(cycle_graph(4), ParityQuery(0, 2, "odd"), cfg)
-
     def test_equal_endpoints_rejected(self):
         with pytest.raises(GraphInputError):
             ParityQuery(1, 1, "odd")
@@ -91,22 +74,21 @@ class TestInducedParity:
 
 class TestTwoDisjointPaths:
     def test_complete_graph(self):
-        assert two_disjoint_paths(complete_graph(4), LinkageQuery(((0, 1), (2, 3))))
+        assert find_two_disjoint_paths(complete_graph(4), LinkageQuery(((0, 1), (2, 3)))) is not None
 
     def test_star_centre_shared(self):
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        assert not two_disjoint_paths(g, LinkageQuery(((1, 2), (3, 4))))
+        assert find_two_disjoint_paths(g, LinkageQuery(((1, 2), (3, 4)))) is None
 
     def test_interleaved_on_cycle(self):
         # derived: exhaust path pairs on C6 with interleaved terminals
         g = cycle_graph(6)
-        assert not two_disjoint_paths(g, LinkageQuery(((0, 3), (1, 4))))
-        assert two_disjoint_paths(g, LinkageQuery(((0, 1), (3, 4))))
+        assert find_two_disjoint_paths(g, LinkageQuery(((0, 3), (1, 4)))) is None
+        assert find_two_disjoint_paths(g, LinkageQuery(((0, 1), (3, 4)))) is not None
 
     def test_forbidden_edges_respected(self):
-        g = cycle_graph(6)
-        q = LinkageQuery(((0, 1), (3, 4)), frozenset({(0, 1), (3, 4)}))
-        found = find_two_disjoint_paths(g, q)
+        g = cycle_graph(6).without_edges({(0, 1), (3, 4)})
+        found = find_two_disjoint_paths(g, LinkageQuery(((0, 1), (3, 4))))
         assert found is None  # each pair's only remaining route hits the other pair
 
     def test_trivial_pair(self):

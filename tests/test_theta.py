@@ -28,7 +28,6 @@ from tperfect.theta import (
     small_flip_cut,
     spanning_tree_view,
     triads,
-    trivial_view,
     two_odd_cut,
     two_odd_decide,
 )
@@ -37,7 +36,7 @@ from tperfect.theta import (
 class TestFlip:
     def test_square_with_opposite_cut(self):
         g = cycle_graph(4)
-        view = trivial_view(g)
+        view = make_view(g, (0,) * g.n)
         assert len(view.odd_edges) == 4
         cut = exact_cut(g, {0, 1})  # edges (1,2) and (0,3)
         new = flip(view, cut)
@@ -46,7 +45,7 @@ class TestFlip:
 
     def test_single_edge(self):
         g = Graph(2, [(0, 1)])
-        view = trivial_view(g)
+        view = make_view(g, (0,) * g.n)
         new = flip(view, exact_cut(g, {0}))
         assert not new.odd_edges
 
@@ -81,7 +80,7 @@ class TestFlip:
             labels = [rnd.randint(0, 1) for _ in range(g.n)]
             view = make_view(g, labels)
             for e in non_tree[:3]:
-                cyc = spanning_tree_fundamental_cycle(g, tree, e)
+                cyc = spanning_tree_fundamental_cycle(g, Graph(g.n, tree), e)
                 edges = path_edges(cyc) + [edge_key(*e)]
                 odd_count = sum(1 for f in edges if view.is_odd(f))
                 assert len(edges) % 2 == odd_count % 2
@@ -141,7 +140,7 @@ class TestTriads:
         # two triangles joined by odd edges only: the trivial bipartition
         # makes the even graph empty
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4)])
-        view = trivial_view(g)
+        view = make_view(g, (0,) * g.n)
         o1, o2, o3 = view.odd_edges[:3]
         res = triads(g, view, o1, o2, o3)
         assert not isinstance(res, ThetaFound)
@@ -174,7 +173,7 @@ class TestTriads:
             if len(blk) < 5:
                 continue
             sub, _ = g.induced(blk)
-            view = trivial_view(sub)
+            view = make_view(sub, (0,) * sub.n)
             while len(view.odd_edges) >= 3:
                 res = triads(sub, view, *view.odd_edges[:3])
                 if isinstance(res, ThetaFound):
@@ -453,7 +452,7 @@ class TestDispatcher:
     def test_rejects_three_odd(self):
         g = complete_graph(3)
         with pytest.raises(GraphInputError):
-            decide_few_odd_edges(g, trivial_view(g))
+            decide_few_odd_edges(g, make_view(g, (0,) * g.n))
 
     def test_pipeline_decomposes_each_block_once(self, monkeypatch):
         # a 5-cycle with the chord 0-2 (a skewed theta on 0 and 2): its BFS
