@@ -1,11 +1,14 @@
 """Parity-flavored path oracles.
 
-Two subproblems recur in the pipeline: does a claw-free graph contain an
-induced u-v path of prescribed parity, and do two prescribed terminal
-pairs admit disjoint linking paths.  Both are exhaustive searches that
-are correct on every graph and guarded by size caps: the induced-path
-cap is configurable (`ParityConfig.max_exhaustive_n`), the linkage cap
-is the constant `MAX_LINKAGE_N`.
+The recognizer asks whether a claw-free graph contains an induced u-v
+path of prescribed parity: an exhaustive search, correct on every graph
+and guarded by the configurable cap `ParityConfig.max_exhaustive_n`.
+
+The 2-linkage search (do two terminal pairs admit disjoint linking
+paths?) and the disjoint-odd-cycle test built on it are exhaustive
+references for the tests, capped by the constant `MAX_LINKAGE_N`; they
+are not decision steps.  The two-odd-edge split in `theta` pairs its
+cut edges by one 2-path flow per side instead.
 """
 
 from __future__ import annotations
@@ -103,7 +106,8 @@ def exists_induced_path_with_parity(
 
 
 def find_two_disjoint_paths(g: Graph, query: LinkageQuery) -> tuple[list[int], list[int]] | None:
-    """Vertex-disjoint paths s1-t1 and s2-t2, or None.
+    """Vertex-disjoint paths s1-t1 and s2-t2, or None (a reference for the
+    tests, not a decision step).
 
     Trivial paths (si == ti) are allowed; the other path must then avoid
     that vertex.  Exhaustive over s1-t1 paths, pruned by BFS reachability
@@ -153,7 +157,8 @@ def find_two_disjoint_paths(g: Graph, query: LinkageQuery) -> tuple[list[int], l
 def has_two_disjoint_odd_cycles(g: Graph, view) -> bool:
     """With exactly two odd-class edges, two vertex-disjoint odd cycles
     exist iff the odd edges' endpoint pairs admit disjoint linking paths
-    in the graph without those edges.
+    in the graph without those edges.  A reference for the tests: the
+    skewed-theta decision reads the same answer off its per-side flows.
 
     Every odd cycle must contain exactly one odd-class edge, and the rest
     of such a cycle is automatically an even-length path.

@@ -11,11 +11,14 @@ with more odd- than even-class edges and flips one side of it, strictly
 shrinking the odd-edge count.  Once at most two odd-class edges remain,
 phase two decides directly; since a cycle is odd exactly when it carries
 an odd number of odd-class edges, every skewed theta contains one of them.
-Two are cut down, flipped or split into smaller two-edge instances.  With
-one, e, a skewed theta exists iff two degree-3 vertices on opposite sides
-of e's block are joined by three edge-disjoint paths (the lemma in
+Two are cut down, flipped or split into smaller two-edge instances; the
+split pairs the cut edges by one 2-path flow per side and reads path
+parities from the labels (the lemma in `_two_odd_block`).  With one, e, a
+skewed theta exists iff two degree-3 vertices on opposite sides of e's
+block are joined by three edge-disjoint paths (the lemma in
 `one_odd_edge`), decided by at most one minimum cut per degree-3 vertex
-in O(n * m).
+in O(n * m).  The exhaustive 2-linkage and disjoint-odd-cycle searches of
+`parity` are references for the tests, not decision steps.
 
 Verdicts carry a trace of fired rules; explicit theta subgraphs are not
 extracted (the brute-force oracle provides witnesses at desk scale).
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from .core.connectivity import (
     bfs_spanning_tree,
     blocks,
-    is_two_connected,
     spanning_tree_fundamental_cycle,
 )
 from .core.flow import (
@@ -47,8 +49,7 @@ from .core.graph import (
     path_edges,
 )
 from .errors import GraphInputError, check
-from .parity import (
-    LinkageQuery,
+from .parity import (  # unused here; the traced benchmark wraps them by these names
     find_two_disjoint_paths,
     has_two_disjoint_odd_cycles,
 )
@@ -596,46 +597,42 @@ def two_odd_cut(h: Graph, view: OddEdgeView) -> ThetaFound | EdgeCut:
     return cut
 
 
-def two_odd_decide(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
-    """Decide skewed-theta presence given a small exact cut through both
-    odd-class edges: probe one-edge removals, exclude two disjoint odd
-    cycles, then split along the cut into two strictly smaller two-odd
-    instances whose replacement paths preserve parity."""
-    if len(view.odd_edges) != 2:
-        raise GraphInputError("expected exactly two odd-class edges")
-    o1, o2 = view.odd_edges
-    if not (o1 in f.edges and o2 in f.edges and len(f.edges) <= 4):
-        raise GraphInputError("cut must contain both odd edges and at most two others")
-    if is_two_connected(h):
-        return _two_odd_block(h, view, f)
-    trace: list[tuple[str, dict]] = []
-    dec = blocks(h)
-    b1 = next(b for b in dec.blocks if set(o1) <= b)
-    b2 = next(b for b in dec.blocks if set(o2) <= b)
-    if b1 != b2:
-        trace.append(("odd-edges-in-separate-blocks", {}))
-        for blk in (b1, b2):
-            sub, old_to_new = h.induced(blk)
-            sview = view_for_subgraph(view, sub, old_to_new)
-            verdict = _one_odd_block(sub, sview, range(sub.n))
-            trace.extend(verdict.trace)
-            if verdict.contains:
-                return ThetaVerdict(True, tuple(trace))
-        return ThetaVerdict(False, tuple(trace))
-    sub, old_to_new = h.induced(b1)
-    sview = view_for_subgraph(view, sub, old_to_new)
-    trace.append(("restrict-to-shared-block", {"n": sub.n}))
-    res = two_odd_cut(sub, sview)
-    if isinstance(res, ThetaFound):
-        trace.append((res.rule, {"n": sub.n}))
-        return ThetaVerdict(True, tuple(trace))
-    verdict = _two_odd_block(sub, sview, res)
-    return ThetaVerdict(verdict.contains, tuple(trace) + verdict.trace)
-
-
 def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
-    """`two_odd_decide` once h is known to be 2-connected; f is a cut that
-    `two_odd_cut` returned or `two_odd_decide` checked."""
+    """Decide skewed-theta presence in a 2-connected h with exactly two
+    odd-class edges o1, o2, given the exact cut f through both and at
+    most two others that `two_odd_cut` returned: flip a smaller cut if
+    there is one, probe one-edge removals, then pair the cut edges across
+    each side of f and split along it into two strictly smaller two-odd
+    instances whose replacement paths preserve parity.
+
+    Lemma.  Let f = {o1, o2, e1, e2} with sides C1, C2.  Every edge inside
+    a side is even-class, so a side path from s to t is odd iff
+    labels[s] != labels[t].  A pairing of Ci matches o1 and o2 with e1
+    and e2, realised by disjoint paths inside Ci between their ends; let
+    Ri be the realisable pairings of Ci.  Then h has two disjoint odd
+    cycles iff R1 and R2 meet.  An odd cycle holds exactly one odd-class
+    edge and crosses f an even number of times, so it is one oj, one ek
+    and a path in each side, and two disjoint ones realise the same
+    pairing on both sides.  Conversely, a pairing realised on both sides
+    closes two disjoint odd cycles.
+
+    One 2-path flow per side finds some Pi in Ri.  If P1 = P2, h has two
+    disjoint odd cycles, and in a 2-connected graph they span a skewed
+    theta.  Otherwise child i keeps Ci, and the far side's pairing
+    replaces each detour (oj, a far-side path, an even cut edge) by one
+    edge when it is odd and by two when it is even.  A child theta maps
+    back to h through the detours, so no child answers yes wrongly.  If
+    R1 and R2 are disjoint, then Ri = {Pi}, and the children are those of
+    the unique pairings, complete because after the probes every theta
+    uses all of f.  If R1 and R2 meet although P1 != P2, some Ri holds
+    both pairings.  Child i then holds two disjoint odd cycles, closed by
+    the far side's pairing and joined by Pi's paths, so it has a skewed
+    theta, as h does.  So the flows give every verdict that the
+    exhaustive pairing gives, and the trace differs only in that case.
+
+    The exhaustive linkage and disjoint-odd-cycle searches of `parity`
+    are references for the tests, not steps of this decision.
+    """
     o1, o2 = view.odd_edges
     trace: list[tuple[str, dict]] = []
     f.validate_against(h)
@@ -672,19 +669,18 @@ def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))
 
-    if has_two_disjoint_odd_cycles(h, view):
+    split = _split_along_cut(h, view, f, o1, o2, e1, e2)
+    if split is None:
         trace.append(("two-disjoint-odd-cycles", {}))
         return ThetaVerdict(True, tuple(trace))
-
-    split = _split_along_cut(h, view, f, o1, o2, e1, e2)
-    for child, cview, tag in split:
+    for child, _ in split:
         check(child.m < h.m, "split sides lose edges")
-        trace.append((tag, {"n": child.n, "m": child.m}))
+        trace.append(("split-side", {"n": child.n, "m": child.m}))
     check(
         split[0][0].m + split[1][0].m <= h.m + 4,
         "split sides stay within the additive edge bound",
     )
-    for child, cview, _ in split:
+    for child, cview in split:
         verdict = decide_few_odd_edges(child, cview)
         trace.extend(verdict.trace)
         if verdict.contains:
@@ -719,66 +715,50 @@ def small_flip_cut(h: Graph, view: OddEdgeView) -> EdgeCut | None:
     return cut
 
 
-def _solve_side_linkage(h, side, x_t, y_t, g1, g2):
-    """Disjoint paths inside one cut side pairing {x_t, y_t} onto {g1, g2};
-    returns (to_from_x, to_from_y) as (target, parity) or None."""
-    sub, old_to_new = h.induced(side)
-    check(sub.is_connected(), "cut side must be connected")
-
-    def attempt(t_for_x, t_for_y):
-        pair1 = (old_to_new[x_t], old_to_new[t_for_x])
-        pair2 = (old_to_new[y_t], old_to_new[t_for_y])
-        if set(pair1) & set(pair2):
+def _side_partner(rest: Graph, x: int, y: int, a: int, b: int) -> int | None:
+    """The one of a, b that x reaches when disjoint paths in `rest` join
+    x and y to a and b, or None if no such paths exist.  A vertex shared
+    by {x, y} and {a, b} is a trivial path, and one BFS avoiding it links
+    the other two; otherwise one 2-path flow finds the pairing."""
+    shared = {x, y} & {a, b}
+    if shared:
+        s = min(shared)
+        t, t_end = (y if s == x else x), (b if s == a else a)
+        if bfs_path(rest, {t}, {t_end}, banned_vertices={s}) is None:
             return None
-        found = find_two_disjoint_paths(sub, LinkageQuery((pair1, pair2)))
-        if found is None:
-            return None
-        px, py = found
-        return (t_for_x, (len(px) - 1) % 2), (t_for_y, (len(py) - 1) % 2)
-
-    return attempt(g1, g2) or attempt(g2, g1)
+        return s if s == x else t_end
+    paths = vertex_disjoint_paths(rest, {x, y}, {a, b}, 2)
+    if paths is None:
+        return None
+    return next(p[-1] for p in paths if p[0] == x)
 
 
 def _split_along_cut(h, view, f, o1, o2, e1, e2):
-    """Build the two replacement sides: each keeps one cut side and
-    replaces the far detours through the other side by one- or two-edge
-    paths of the same parity class."""
-    c1, c2 = f.side_a, f.side_b
+    """Pair the cut edges inside each side (see `_two_odd_block`); None
+    when both sides pair o1 with the same even edge, else the two
+    replacement sides as (graph, view) pairs.  Each keeps one cut side
+    and replaces the far detours by one- or two-edge paths of the far
+    paths' parity class, read from the labels."""
+    rest = h.without_edges(f.edges)
+    labels = view.bipartition.labels
+    sides = []
+    for side in (f.side_a, f.side_b):
+        x, y, a, b = (next(w for w in e if w in side) for e in (o1, o2, e1, e2))
+        u = _side_partner(rest, x, y, a, b)
+        check(u is not None, "each cut side links its odd ends to its even ends")
+        sides.append((side, x, y, u, b if u == a else a, u == a))
+    (c1, x1, y1, u1, v1, x1_on_e1), (c2, x2, y2, u2, v2, x2_on_e1) = sides
+    if x1_on_e1 == x2_on_e1:
+        return None
 
-    def endpoint_in(e, side):
-        hits = [w for w in e if w in side]
-        check(len(hits) == 1, "cut edge crosses the sides once")
-        return hits[0]
+    def parity(s, t):
+        return int(labels[s] != labels[t])
 
-    x1, x2 = endpoint_in(o1, c1), endpoint_in(o1, c2)
-    y1, y2 = endpoint_in(o2, c1), endpoint_in(o2, c2)
-    a1, a2 = endpoint_in(e1, c1), endpoint_in(e1, c2)
-    b1, b2 = endpoint_in(e2, c1), endpoint_in(e2, c2)
-
-    side1 = _solve_side_linkage(h, c1, x1, y1, a1, b1)
-    check(side1 is not None, "first side admits a disjoint pairing")
-    (u1, p1_parity), (v1, q1_parity) = side1
-    # name the even edges by the pairing: x's target u1 lies on "edge-P",
-    # y's target v1 on "edge-Q"; the far side pairs crosswise
-    edge_p = e1 if u1 == a1 else e2
-    edge_q = e2 if edge_p == e1 else e1
-    u2 = endpoint_in(edge_q, c2)
-    v2 = endpoint_in(edge_p, c2)
-
-    sub2, map2 = h.induced(c2)
-    pairs2 = ((map2[x2], map2[u2]), (map2[y2], map2[v2]))
-    check(
-        not (set(pairs2[0]) & set(pairs2[1])),
-        "forced far-side pairing has distinct terminals",
-    )
-    found2 = find_two_disjoint_paths(sub2, LinkageQuery(pairs2))
-    check(found2 is not None, "far side admits the crosswise pairing")
-    p2_parity = (len(found2[0]) - 1) % 2
-    q2_parity = (len(found2[1]) - 1) % 2
-
-    g_a = _one_side_graph(h, view, c1, x1, y1, (x2, p2_parity, v1), (y2, q2_parity, u1))
-    g_b = _one_side_graph(h, view, c2, x2, y2, (x1, p1_parity, v2), (y1, q1_parity, u2))
-    return [(g_a[0], g_a[1], "split-side"), (g_b[0], g_b[1], "split-side")]
+    # x1's far detour runs o1, x2 ~ u2 and u2's cut edge back to v1
+    return [
+        _one_side_graph(h, view, c1, x1, y1, (x2, parity(x2, u2), v1), (y2, parity(y2, v2), u1)),
+        _one_side_graph(h, view, c2, x2, y2, (x1, parity(x1, u1), v2), (y1, parity(y1, v1), u2)),
+    ]
 
 
 def _one_side_graph(h, view, keep_side, x_k, y_k, p_repl, q_repl):
@@ -790,10 +770,7 @@ def _one_side_graph(h, view, keep_side, x_k, y_k, p_repl, q_repl):
     """
     vertices = set(keep_side)
     extra_edges: list[tuple[int, int]] = []
-    for near, (far_mid, parity, even_end), odd_edge in (
-        (x_k, p_repl, None),
-        (y_k, q_repl, None),
-    ):
+    for near, (far_mid, parity, even_end) in ((x_k, p_repl), (y_k, q_repl)):
         if parity == 1:
             extra_edges.append((near, even_end))
         else:

@@ -51,3 +51,116 @@ def clawfree_to_nine():
     from tperfect.corpus import enumerate_connected_graphs, is_clawfree
 
     return enumerate_connected_graphs(9, is_clawfree)
+
+
+def two_odd_edge_instances(rnd, count):
+    """2-connected subcubic graphs with exactly two odd-class edges, with
+    their views: a random subcubic graph keeps two odd-class edges of its
+    BFS-forest colouring and, with some probability each, its even-class
+    edges; the block holding both odd edges is the instance."""
+    from tperfect.core.connectivity import blocks
+    from tperfect.corpus import random_subcubic_graph
+    from tperfect.theta import make_view, spanning_tree_view
+
+    made = 0
+    while made < count:
+        g = random_subcubic_graph(rnd, rnd.randint(5, 16))
+        labels = spanning_tree_view(g).bipartition.labels
+        odd = [e for e in g.edges if labels[e[0]] == labels[e[1]]]
+        if len(odd) < 2:
+            continue
+        e1, e2 = rnd.sample(odd, 2)
+        drop = rnd.choice((0.0, 0.25))
+        h0 = Graph(
+            g.n,
+            [e for e in g.edges if e in (e1, e2) or e not in odd and rnd.random() >= drop],
+        )
+        blk = next(b for b in blocks(h0).blocks if set(e1) <= b)
+        if not set(e2) <= blk:
+            continue
+        h, old_to_new = h0.induced(blk)
+        sub_labels = [0] * h.n
+        for old, new in old_to_new.items():
+            sub_labels[new] = labels[old]
+        made += 1
+        yield h, make_view(h, sub_labels)
+
+
+def _bipartite_side(rnd, n):
+    """A random connected bipartite subcubic graph on n vertices: a random
+    tree of maximum degree 3, coloured by depth parity, plus random edges
+    between the colours.  Returns (edges, labels, degrees)."""
+    deg, labels, edges = [0] * n, [0] * n, set()
+    for v in range(1, n):
+        u = rnd.choice([w for w in range(v) if deg[w] < 3])
+        edges.add((u, v))
+        labels[v] = labels[u] ^ 1
+        deg[u] += 1
+        deg[v] += 1
+    for _ in range(rnd.randint(0, n // 2)):
+        u, v = sorted(rnd.sample(range(n), 2))
+        if labels[u] != labels[v] and deg[u] < 3 and deg[v] < 3 and (u, v) not in edges:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return sorted(edges), labels, deg
+
+
+def glued_two_odd_instances(rnd, count):
+    """Two random connected bipartite subcubic sides of 3 to 12 vertices
+    joined by two odd-class and two even-class cut edges, with their
+    views (the sides' colourings).  Half the instances give the four cut
+    edges distinct ends, so the two-odd-edge split meets both sides with
+    and without a vertex shared by an odd and an even cut edge."""
+    from tperfect.theta import make_view
+
+    made = 0
+    while made < count:
+        na, nb = rnd.randint(3, 12), rnd.randint(3, 12)
+        edges_a, labels_a, deg_a = _bipartite_side(rnd, na)
+        edges_b, labels_b, deg_b = _bipartite_side(rnd, nb)
+        labels, deg = labels_a + labels_b, deg_a + deg_b
+        edges = edges_a + [(a + na, b + na) for a, b in edges_b]
+        distinct_ends = rnd.random() < 0.5
+        cut = []
+        for odd in (True, True, False, False):
+            used = {w for e in cut for w in e} if distinct_ends else set()
+            choices = [
+                (a, b)
+                for a in range(na)
+                for b in range(na, na + nb)
+                if deg[a] < 3 and deg[b] < 3 and (labels[a] == labels[b]) == odd
+                and (a, b) not in cut and not {a, b} & used
+            ]
+            if not choices:
+                break
+            a, b = rnd.choice(choices)
+            cut.append((a, b))
+            deg[a] += 1
+            deg[b] += 1
+        if len(cut) < 4:
+            continue
+        h = Graph(na + nb, edges + cut)
+        made += 1
+        yield h, make_view(h, labels)
+
+
+SPLIT_BASE = (
+    (0, 5), (0, 11), (1, 4), (1, 5), (1, 8), (2, 3), (2, 6),
+    (2, 7), (3, 10), (4, 7), (5, 6), (6, 9), (8, 9), (10, 11),
+)
+
+
+def split_family(k):
+    """G_k: the 12-vertex graph SPLIT_BASE with every edge except (2, 3)
+    and (8, 9) replaced by a path of 2k + 1 edges, so n = 12 + 24k.  Its
+    skewed-theta decision reaches the two-odd-edge split with sides of
+    about n / 2 vertices."""
+    n, edges = 12, []
+    for u, v in SPLIT_BASE:
+        path = [u]
+        if (u, v) not in ((2, 3), (8, 9)):
+            path += range(n, n + 2 * k)
+            n += 2 * k
+        edges += zip(path, path[1:] + [v])
+    return Graph(n, edges)

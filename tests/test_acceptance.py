@@ -12,6 +12,7 @@ import random
 import time
 
 import pytest
+from conftest import split_family
 
 from tperfect.cli import run_cli
 from tperfect.core import Graph, is_two_connected, make_named
@@ -298,6 +299,36 @@ def test_criterion_10_phase_one_scaling():
         f"on odd cycles with a 2-chord, n={cycle_sizes}, and {root_rules} with no "
         f"flip on bipartite roots, n={root_sizes}; exponents {cycle_slope:.2f}, "
         f"{root_slope:.2f} <= 0.5"
+    )
+
+
+def test_criterion_11_two_odd_split_scaling():
+    # the family whose two-odd-edge split used to run the exhaustive
+    # 2-linkage on sides past its 64-vertex cap (SizeGuardError from k = 3)
+    ks = (0, 1, 3, 6, 12, 25)
+    sizes, best_s = [], []
+    for k in ks:
+        g = split_family(k)
+        assert g.n == 12 + 24 * k
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            verdict = has_skewed_theta(g)
+            times.append(time.perf_counter() - t0)
+        assert not verdict.contains, k
+        assert [rule for rule, _ in verdict.trace].count("split-side") == 2, k
+        if k == 0:
+            assert not has_skewed_theta_bruteforce(g)
+        assert is_t_perfect(line_graph(g)[0]).t_perfect, k
+        sizes.append(g.n)
+        best_s.append(min(times))
+    slope = _fit_exponent(sizes, best_s)
+    assert slope <= 2.0, f"wall-time exponent {slope:.2f} exceeds 2"
+    print(
+        f"\nACCEPTANCE 11 (two-odd-edge split scaling): PASS - no skewed theta, "
+        f"two split sides each, and t-perfect line graphs over n={sizes}; "
+        f"wall-time exponent {slope:.2f} <= 2, best ms "
+        f"{[round(t * 1000, 1) for t in best_s]}"
     )
 
 

@@ -2,7 +2,7 @@ import io
 import json
 
 import pytest
-from conftest import cycle_blowup
+from conftest import cycle_blowup, split_family
 
 from tperfect.cli import run_cli
 from tperfect.core import (
@@ -83,6 +83,20 @@ class TestExitCodes:
         assert reports(text)[0]["result"]["outcome"] == "contains-skewed-theta"
         code, _ = run(["skewed-theta", files["claw"]])
         assert code == 0
+
+    def test_two_odd_split_past_the_old_linkage_cap(self, tmp_path):
+        # G_3 and its 86-vertex line graph reach the two-odd-edge split
+        # with sides larger than the exhaustive 2-linkage's 64-vertex cap
+        root = split_family(3)
+        p = tmp_path / "g3.g6"
+        p.write_text(graph_to_graph6(root) + "\n")
+        code, text = run(["skewed-theta", str(p)])
+        assert code == 0
+        assert reports(text)[0]["result"]["outcome"] == "no-skewed-theta"
+        p.write_text(graph_to_graph6(line_graph(root)[0]) + "\n")
+        code, text = run(["recognize", str(p)])
+        assert code == 0
+        assert reports(text)[0]["result"]["verdict"] == "t-perfect"
 
     def test_skewed_theta_rejects_dense(self, files):
         code, text = run(["skewed-theta", files["oct"]])

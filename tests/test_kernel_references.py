@@ -1,13 +1,18 @@
 """Kernel routines against the implementations they replaced, kept here
 verbatim in behaviour as references: the set-level line-graph kernel and
 the vertex-stack block decomposition (same roots, same edge-to-vertex maps,
-same `BlockDecomposition`, same errors), and the searches now routed
+same `BlockDecomposition`, same errors), the searches now routed
 through `bfs_path` and `Graph.connected_components` (same linkage paths,
-fundamental cycles, tree sides and edge components, same errors)."""
+fundamental cycles, tree sides and edge components, same errors), and the
+exhaustive two-odd-edge split that one flow per side replaced (same
+verdicts and traces)."""
 
 import random
 from itertools import combinations
 
+from conftest import glued_two_odd_instances, two_odd_edge_instances
+
+from tperfect import theta
 from tperfect.core import Graph, complete_graph, cycle_graph
 from tperfect.core.connectivity import (
     BlockDecomposition,
@@ -18,8 +23,13 @@ from tperfect.core.connectivity import (
 from tperfect.core.graph import edge_key
 from tperfect.corpus import random_subcubic_graph
 from tperfect.errors import GraphInputError, InternalInvariantError, SizeGuardError
-from tperfect.parity import LinkageQuery, find_two_disjoint_paths
-from tperfect.theta import _edge_components, _split_tree_at_edge
+from tperfect.parity import LinkageQuery, find_two_disjoint_paths, has_two_disjoint_odd_cycles
+from tperfect.theta import (
+    _edge_components,
+    _one_side_graph,
+    _split_tree_at_edge,
+    decide_few_odd_edges,
+)
 from tperfect.linegraph import (
     RootMapping,
     _root_from_seed,
@@ -567,3 +577,102 @@ class TestBfsRoutedSearches:
             assert got == ref_edge_components(edges), (n, edges)
             many += len(got) > 1
         assert many > 300
+
+
+# -- reference: the exhaustive two-odd-edge split --------------------------
+
+
+def ref_solve_side_linkage(h, side, x_t, y_t, g1, g2):
+    sub, old_to_new = h.induced(side)
+    if not sub.is_connected():
+        raise InternalInvariantError("cut side must be connected")
+
+    def attempt(t_for_x, t_for_y):
+        pair1 = (old_to_new[x_t], old_to_new[t_for_x])
+        pair2 = (old_to_new[y_t], old_to_new[t_for_y])
+        if set(pair1) & set(pair2):
+            return None
+        found = find_two_disjoint_paths(sub, LinkageQuery((pair1, pair2)))
+        if found is None:
+            return None
+        px, py = found
+        return (t_for_x, (len(px) - 1) % 2), (t_for_y, (len(py) - 1) % 2)
+
+    return attempt(g1, g2) or attempt(g2, g1)
+
+
+def ref_split_along_cut(h, view, f, o1, o2, e1, e2):
+    """The exhaustive steps after the probes: None when the 2-linkage
+    finds two disjoint odd cycles, else the children of the first
+    realisable pairing of side one and the forced crosswise far side."""
+    if has_two_disjoint_odd_cycles(h, view):
+        return None
+    c1, c2 = f.side_a, f.side_b
+
+    def endpoint_in(e, side):
+        (hit,) = [w for w in e if w in side]
+        return hit
+
+    x1, x2 = endpoint_in(o1, c1), endpoint_in(o1, c2)
+    y1, y2 = endpoint_in(o2, c1), endpoint_in(o2, c2)
+    a1, b1 = endpoint_in(e1, c1), endpoint_in(e2, c1)
+    side1 = ref_solve_side_linkage(h, c1, x1, y1, a1, b1)
+    if side1 is None:
+        raise InternalInvariantError("first side admits a disjoint pairing")
+    (u1, p1_parity), (v1, q1_parity) = side1
+    edge_p = e1 if u1 == a1 else e2
+    edge_q = e2 if edge_p == e1 else e1
+    u2, v2 = endpoint_in(edge_q, c2), endpoint_in(edge_p, c2)
+    sub2, map2 = h.induced(c2)
+    found2 = find_two_disjoint_paths(
+        sub2, LinkageQuery(((map2[x2], map2[u2]), (map2[y2], map2[v2])))
+    )
+    if found2 is None:
+        raise InternalInvariantError("far side admits the crosswise pairing")
+    p2_parity, q2_parity = ((len(p) - 1) % 2 for p in found2)
+    return [
+        _one_side_graph(h, view, c1, x1, y1, (x2, p2_parity, v1), (y2, q2_parity, u1)),
+        _one_side_graph(h, view, c2, x2, y2, (x1, p1_parity, v2), (y1, q1_parity, u2)),
+    ]
+
+
+def realisable_partners(rest, x, y, a, b):
+    """The ends among a, b that x reaches in some pair of disjoint x- and
+    y-paths to a and b, by the exhaustive 2-linkage."""
+    return {
+        t
+        for t, s in ((a, b), (b, a))
+        if not {x, t} & {y, s}
+        and find_two_disjoint_paths(rest, LinkageQuery(((x, t), (y, s)))) is not None
+    }
+
+
+class TestTwoOddSplit:
+    def test_flow_split_matches_exhaustive_reference(self, monkeypatch):
+        split_side, side_partner = theta._split_along_cut, theta._side_partner
+        splits = []  # one flag per split: does a side share a terminal?
+
+        def counted_split(*args):
+            splits.append(False)
+            return split_side(*args)
+
+        def checked_partner(rest, x, y, a, b):
+            u = side_partner(rest, x, y, a, b)
+            assert realisable_partners(rest, x, y, a, b) == {u}, (rest.edges, x, y, a, b)
+            splits[-1] |= bool({x, y} & {a, b})
+            return u
+
+        rnd = random.Random(9090)
+        instances = list(two_odd_edge_instances(rnd, 4000))
+        instances += glued_two_odd_instances(rnd, 4000)
+        for h, view in instances:
+            with monkeypatch.context() as m:
+                m.setattr(theta, "_split_along_cut", ref_split_along_cut)
+                want = result_or_error(decide_few_odd_edges, h, view)
+            with monkeypatch.context() as m:
+                m.setattr(theta, "_split_along_cut", counted_split)
+                m.setattr(theta, "_side_partner", checked_partner)
+                got = result_or_error(decide_few_odd_edges, h, view)
+            assert got == want, (h.edges, view.bipartition.labels)
+        assert len(splits) >= 150 and sum(splits) >= 100, (len(splits), sum(splits))
+        assert len(splits) - sum(splits) >= 20, splits

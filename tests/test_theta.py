@@ -2,8 +2,9 @@ import random
 from collections import Counter
 
 import pytest
+from conftest import glued_two_odd_instances, split_family, two_odd_edge_instances
 
-from tperfect import theta
+from tperfect import parity, theta
 from tperfect.core import (
     Graph,
     claw,
@@ -29,7 +30,6 @@ from tperfect.theta import (
     spanning_tree_view,
     triads,
     two_odd_cut,
-    two_odd_decide,
 )
 
 
@@ -227,14 +227,19 @@ class TestTwoOdd:
         assert has_skewed_theta_bruteforce(g)
 
     def test_separate_blocks_dispatch(self):
-        # two triangles joined by a bridge, one odd edge in each triangle
+        # two triangles joined by a bridge, one odd edge in each triangle:
+        # the dispatcher sends each triangle block to the one-odd-edge test
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
         labels = [0, 0, 1, 0, 0, 1]
         view = make_view(g, labels)
         assert view.odd_edges == ((0, 1), (3, 4))
-        cut = exact_cut(g, {0, 4})
-        verdict = two_odd_decide(g, view, cut)
+        verdict = decide_few_odd_edges(g, view)
         assert not verdict.contains
+        assert [rule for rule, _ in verdict.trace] == [
+            "one-sided-branch-vertices",
+            "one-sided-branch-vertices",
+            "no-remaining-odd-structure",
+        ]
         assert not has_skewed_theta_bruteforce(g)
 
     def test_split_instrumentation(self):
@@ -248,6 +253,40 @@ class TestTwoOdd:
             if any(rule == "split-side" for rule, _ in verdict.trace):
                 exercised += 1
             assert verdict.contains == has_skewed_theta_bruteforce(g)
+
+
+class TestTwoOddSplit:
+    def test_split_runs_without_the_exhaustive_linkage(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exhaustive linkage called")
+
+        monkeypatch.setattr(parity, "find_two_disjoint_paths", refuse)
+        monkeypatch.setattr(theta, "find_two_disjoint_paths", refuse)
+        monkeypatch.setattr(theta, "has_two_disjoint_odd_cycles", refuse)
+        for k in (0, 1, 3, 6, 12, 25):
+            assert not has_skewed_theta(split_family(k)).contains
+        rnd = random.Random(3131)
+        instances = list(two_odd_edge_instances(rnd, 1500))
+        instances += glued_two_odd_instances(rnd, 1500)
+        splits = 0
+        for h, view in instances:
+            verdict = decide_few_odd_edges(h, view)
+            splits += any(rule == "split-side" for rule, _ in verdict.trace)
+            has_skewed_theta(h)
+        assert splits >= 50, splits
+
+    def test_shared_terminal_pairs_by_one_search(self):
+        # a side where the odd cut edge at x and an even cut edge meet: x
+        # is a trivial path, and y reaches the other even end avoiding x
+        rest = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert theta._side_partner(rest, 0, 3, 0, 2) == 0
+        assert theta._side_partner(rest, 3, 0, 2, 0) == 2
+        assert theta._side_partner(rest, 2, 0, 1, 2) == 2
+        assert theta._side_partner(rest, 1, 3, 0, 1) is None
+        assert theta._side_partner(rest, 0, 2, 2, 3) is None
+        # no shared vertex: the flow's pairing on a path is forced
+        assert theta._side_partner(rest, 1, 2, 0, 3) == 0
+        assert theta._side_partner(rest, 0, 3, 1, 2) == 1
 
 
 def _all_even_edges_small_cut(h, view):
@@ -266,40 +305,11 @@ def _all_even_edges_small_cut(h, view):
     return None
 
 
-def _two_odd_edge_instances(rnd, count):
-    """2-connected subcubic graphs with exactly two odd-class edges: a
-    random subcubic graph keeps two odd-class edges of its BFS-forest
-    colouring and, with some probability each, its even-class edges;
-    the block holding both odd edges is the instance."""
-    made = 0
-    while made < count:
-        g = random_subcubic_graph(rnd, rnd.randint(5, 16))
-        labels = spanning_tree_view(g).bipartition.labels
-        odd = [e for e in g.edges if labels[e[0]] == labels[e[1]]]
-        if len(odd) < 2:
-            continue
-        e1, e2 = rnd.sample(odd, 2)
-        drop = rnd.choice((0.0, 0.25))
-        h0 = Graph(
-            g.n,
-            [e for e in g.edges if e in (e1, e2) or e not in odd and rnd.random() >= drop],
-        )
-        blk = next(b for b in blocks(h0).blocks if set(e1) <= b)
-        if not set(e2) <= blk:
-            continue
-        h, old_to_new = h0.induced(blk)
-        sub_labels = [0] * h.n
-        for old, new in old_to_new.items():
-            sub_labels[new] = labels[old]
-        made += 1
-        yield h, make_view(h, sub_labels)
-
-
 class TestSmallFlipCut:
     def test_matches_the_all_even_edges_scan(self):
         rnd = random.Random(6060)
         kinds = Counter()
-        for h, view in _two_odd_edge_instances(rnd, 2000):
+        for h, view in two_odd_edge_instances(rnd, 2000):
             expected = _all_even_edges_small_cut(h, view)
             assert small_flip_cut(h, view) == expected, (h.edges, view.bipartition.labels)
             kinds[len(expected.edges) if expected else None] += 1
