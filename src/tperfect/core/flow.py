@@ -1,8 +1,13 @@
 """Unit-capacity flows: minimum edge cuts, edge- and vertex-disjoint paths.
 
 Every cut in the recognition pipeline has at most five edges, so plain
-BFS augmentation (Edmonds-Karp) is more than enough.  All adjacency is
-built in sorted order to keep results deterministic.
+BFS augmentation (Edmonds-Karp) is more than enough.  One routine,
+`_max_flow`, augments on the graph's own sorted neighbour lists and
+builds no arc network: it keeps a flow per directed edge, and for
+vertex-disjoint paths a through-flow per vertex.  Each search visits a
+vertex's residual moves in a fixed order (its internal arc first, then
+its neighbours in ascending order, then its terminal arc), so paths and
+cuts are deterministic.
 """
 
 from __future__ import annotations
@@ -43,79 +48,18 @@ def exact_cut(g: Graph, side_a: Iterable[int]) -> EdgeCut:
     return EdgeCut(edges, a, b)
 
 
-class _Network:
-    """Directed residual network with integer capacities.
-
-    Arcs are stored in pairs: forward arcs get even ids, their residual
-    twins odd ids.
-    """
-
-    def __init__(self, nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_arc(self, u: int, v: int, cap: int) -> int:
-        i = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[u].append(i)
-        self.to.append(u)
-        self.cap.append(0)
-        self.adj[v].append(i + 1)
-        return i
-
-    def flow_on(self, arc: int) -> int:
-        return self.cap[arc ^ 1]
-
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        flow = 0
-        while flow < limit:
-            parent_arc = [-1] * len(self.adj)
-            parent_arc[s] = -2
-            queue = [s]
-            head = 0
-            while head < len(queue) and parent_arc[t] == -1:
-                x = queue[head]
-                head += 1
-                for i in self.adj[x]:
-                    y = self.to[i]
-                    if self.cap[i] > 0 and parent_arc[y] == -1:
-                        parent_arc[y] = i
-                        queue.append(y)
-            if parent_arc[t] == -1:
-                break
-            x = t
-            while x != s:
-                i = parent_arc[x]
-                self.cap[i] -= 1
-                self.cap[i ^ 1] += 1
-                x = self.to[i ^ 1]
-            flow += 1
-        return flow
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for i in self.adj[x]:
-                y = self.to[i]
-                if self.cap[i] > 0 and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-
 def _walk_paths(
-    out: dict[int, list[int]], start_credits: list[tuple[int, int]]
+    n: int, used: set[int], start_credits: list[tuple[int, int]]
 ) -> list[list[int]]:
-    """Consume flow arcs into source->sink walks, then erase loops.
+    """Consume the flow edges u -> w (u * n + w in `used`) into
+    source->sink walks, then erase loops.
 
-    `out` maps a node to its flow successors with multiplicity; a walk ends
-    when its node has no remaining successor (only happens at sinks, by
-    conservation).
+    A walk leaves each vertex along its least unused flow edge and ends
+    when none is left (only happens at sinks, by conservation).
     """
+    out: dict[int, list[int]] = {}
+    for key in sorted(used):
+        out.setdefault(key // n, []).append(key % n)
     paths = []
     for start, credit in start_credits:
         for _ in range(credit):
@@ -138,17 +82,108 @@ def _walk_paths(
     return paths
 
 
-def _edge_network(g: Graph, sources: set[int], sinks: set[int], cap_limit: int):
-    net = _Network(g.n + 2)
-    s, t = g.n, g.n + 1
-    arc_of: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        arc_of[(u, v)] = net.add_arc(u, v, 1)
-        arc_of[(v, u)] = net.add_arc(v, u, 1)
-    source_arcs = {x: net.add_arc(s, x, cap_limit) for x in sorted(sources)}
-    for x in sorted(sinks):
-        net.add_arc(x, t, cap_limit)
-    return net, s, t, arc_of, source_arcs
+def _terminals(sources: Iterable[int], sinks: Iterable[int]) -> tuple[set[int], set[int]]:
+    src, snk = set(sources), set(sinks)
+    if not src or not snk or src & snk:
+        raise GraphInputError("sources and sinks must be disjoint and nonempty")
+    return src, snk
+
+
+def _edge_search(g: Graph, src: set[int], snk: set[int], used: set[int]):
+    """BFS from the sources over residual edges: u -> v is residual unless
+    it carries the unit of uv.  Returns (the first sink reached, parents);
+    with no sink reached, the parents mark the residual source side."""
+    n, nbrs = g.n, g._nbrs
+    parent = [-1] * n
+    queue = sorted(src)
+    for x in queue:
+        parent[x] = x
+    for x in queue:
+        for y in nbrs[x]:
+            if parent[y] < 0 and x * n + y not in used:
+                parent[y] = x
+                if y in snk:
+                    return y, parent
+                queue.append(y)
+    return None, parent
+
+
+def _split_search(g, src, snk, caps, used, through):
+    """BFS over the split vertices v_in = 2v and v_out = 2v + 1, whose
+    internal arc carries through[v] units.  Terminals are sealed: no arc
+    leaves a sink, and no path enters a source, whose v_in is searched
+    first unless its capacity is used up, and then leads nowhere.
+    Returns (a sink's v_out, parents)."""
+    n, nbrs = g.n, g._nbrs
+    src_cap, snk_cap = caps
+    parent = [-1] * (2 * n)
+    queue = [2 * x for x in sorted(src) if through[x] < src_cap]
+    for node in queue:
+        parent[node] = node
+    for node in queue:
+        v = node >> 1
+        if node & 1:  # v_out: back into v_in, then out along free edges
+            if through[v] and parent[node - 1] < 0:
+                parent[node - 1] = node
+                queue.append(node - 1)
+            if v not in snk:
+                for w in nbrs[v]:
+                    if parent[2 * w] < 0 and v * n + w not in used:
+                        parent[2 * w] = node
+                        queue.append(2 * w)
+        else:  # v_in: through v, then back along edges carrying flow into v
+            cap = src_cap if v in src else snk_cap if v in snk else 1
+            if through[v] < cap and parent[node + 1] < 0:
+                parent[node + 1] = node
+                if v in snk:
+                    return node + 1, parent
+                queue.append(node + 1)
+            for w in nbrs[v]:
+                if parent[2 * w + 1] < 0 and w * n + v in used:
+                    parent[2 * w + 1] = node
+                    queue.append(2 * w + 1)
+    return None, parent
+
+
+def _max_flow(g: Graph, src: set[int], snk: set[int], k: int, caps=None):
+    """Augment up to k unit paths from src to snk (Edmonds-Karp) on g's
+    own sorted adjacency; returns (value, used, through, parents).
+
+    `used` holds each directed edge u -> v carrying a unit as u * n + v.
+    With caps None the paths are edge-disjoint and `used` holds the net
+    flow of each edge in one direction.  With caps = (source capacity,
+    sink capacity) they are internally vertex-disjoint, every other
+    vertex passes one unit, and through[v] counts the units through v.
+    The parents are those of the last, failed search, or None when k
+    paths were found.
+    """
+    n = g.n
+    if not all(0 <= x < n for x in src | snk):
+        raise GraphInputError("flow terminals must be vertices of the graph")
+    used: set[int] = set()
+    through = [0] * n
+    for value in range(k):
+        if caps is None:
+            end, parent = _edge_search(g, src, snk, used)
+        else:
+            end, parent = _split_search(g, src, snk, caps, used, through)
+        if end is None:
+            return value, used, through, parent
+        while parent[end] != end:
+            prev = parent[end]
+            if caps is None:
+                if end * n + prev in used:
+                    used.remove(end * n + prev)
+                else:
+                    used.add(prev * n + end)
+            elif prev >> 1 == end >> 1:
+                through[end >> 1] += 1 if end & 1 else -1
+            elif prev & 1:
+                used.add((prev >> 1) * n + (end >> 1))
+            else:
+                used.remove((end >> 1) * n + (prev >> 1))
+            end = prev
+    return k, used, through, None
 
 
 def min_edge_cut_between(
@@ -160,14 +195,9 @@ def min_edge_cut_between(
     A minimum-cardinality cut leaves exactly two connected pieces, so the
     sides of the result are the components of g minus the cut.
     """
-    src, snk = set(sources), set(sinks)
-    if not src or not snk or src & snk:
-        raise GraphInputError("sources and sinks must be disjoint and nonempty")
-    limit = g.m + 1
-    net, s, t, _, _ = _edge_network(g, src, snk, limit)
-    net.max_flow(s, t, limit)
-    reach = net.residual_reachable(s)
-    cut = exact_cut(g, (x for x in range(g.n) if x in reach))
+    src, snk = _terminals(sources, sinks)
+    parent = _max_flow(g, src, snk, g.m + 1)[3]
+    cut = exact_cut(g, (x for x in range(g.n) if parent[x] >= 0))
     check(src <= cut.side_a and snk <= cut.side_b, "flow cut must separate terminals")
     return cut
 
@@ -177,81 +207,24 @@ def edge_disjoint_paths(
 ) -> list[list[int]] | None:
     """k pairwise edge-disjoint source-sink paths (flow decomposition),
     or None if fewer exist."""
-    src, snk = set(sources), set(sinks)
-    if not src or not snk or src & snk:
-        raise GraphInputError("sources and sinks must be disjoint and nonempty")
-    net, s, t, arc_of, source_arcs = _edge_network(g, src, snk, g.m + 1)
-    if net.max_flow(s, t, k) < k:
+    src, snk = _terminals(sources, sinks)
+    value, used, _, _ = _max_flow(g, src, snk, k)
+    if value < k:
         return None
-    out: dict[int, list[int]] = {}
-    for u, v in g.edges:
-        net_flow = net.flow_on(arc_of[(u, v)]) - net.flow_on(arc_of[(v, u)])
-        if net_flow > 0:
-            out.setdefault(u, []).append(v)
-        elif net_flow < 0:
-            out.setdefault(v, []).append(u)
-    for u in out:
-        out[u].sort()
-    credits = [(x, net.flow_on(source_arcs[x])) for x in sorted(src)]
-    paths = _walk_paths(out, credits)
+    # no search enters a source, so its credit is its out-flow
+    credits = [(x, sum(x * g.n + y in used for y in g._nbrs[x])) for x in sorted(src)]
+    paths = _walk_paths(g.n, used, credits)
     check(len(paths) == k and all(p[-1] in snk for p in paths), "flow decomposition")
     return paths
 
 
-def _split_network(
-    g: Graph,
-    sources: set[int],
-    sinks: set[int],
-    source_cap: int,
-    sink_cap: int,
-):
-    """Vertex-split network: v_in = 2v, v_out = 2v+1, internal capacity 1.
-
-    Terminals are sealed: sinks get no outgoing graph arcs and sources no
-    incoming ones, so no path passes through a terminal.
-    """
-    net = _Network(2 * g.n + 2)
-    s, t = 2 * g.n, 2 * g.n + 1
-    internal = {}
-    for v in range(g.n):
-        cap = source_cap if v in sources else sink_cap if v in sinks else 1
-        internal[v] = net.add_arc(2 * v, 2 * v + 1, cap)
-    graph_arcs = {}
-    for u, v in g.edges:
-        if u not in sinks and v not in sources:
-            graph_arcs[(u, v)] = net.add_arc(2 * u + 1, 2 * v, 1)
-        if v not in sinks and u not in sources:
-            graph_arcs[(v, u)] = net.add_arc(2 * v + 1, 2 * u, 1)
-    source_arcs = {x: net.add_arc(s, 2 * x, source_cap) for x in sorted(sources)}
-    for x in sorted(sinks):
-        net.add_arc(2 * x + 1, t, sink_cap)
-    return net, s, t, internal, graph_arcs, source_arcs
-
-
-def _split_paths(g, net, internal, graph_arcs, source_arcs, sources, k):
-    out: dict[int, list[int]] = {}
-    for v, arc in internal.items():
-        for _ in range(net.flow_on(arc)):
-            out.setdefault(2 * v, []).append(2 * v + 1)
-    for (u, v), arc in graph_arcs.items():
-        reverse = graph_arcs.get((v, u))
-        net_flow = net.flow_on(arc) - (net.flow_on(reverse) if reverse is not None else 0)
-        if net_flow > 0:
-            out.setdefault(2 * u + 1, []).append(2 * v)
-    for x in out:
-        out[x].sort()
-    credits = [(2 * x, net.flow_on(source_arcs[x])) for x in sorted(sources)]
-    raw = _walk_paths(out, credits)
-    check(len(raw) == k, "split-flow decomposition")
-    collapsed = []
-    for p in raw:
-        q = [x // 2 for x in p]
-        dedup = [q[0]]
-        for v in q[1:]:
-            if v != dedup[-1]:
-                dedup.append(v)
-        collapsed.append(dedup)
-    return collapsed
+def _split_paths(g, src, snk, k, caps):
+    value, used, through, _ = _max_flow(g, src, snk, k, caps)
+    if value < k:
+        return None
+    paths = _walk_paths(g.n, used, [(x, through[x]) for x in sorted(src)])
+    check(len(paths) == k, "split-flow decomposition")
+    return paths
 
 
 def vertex_disjoint_paths(
@@ -265,17 +238,9 @@ def vertex_disjoint_paths(
     by all k paths, so singleton-to-singleton gives the classical
     internally disjoint u-v paths.  No path passes through a terminal.
     """
-    src, snk = set(sources), set(sinks)
-    if not src or not snk or src & snk:
-        raise GraphInputError("sources and sinks must be disjoint and nonempty")
-    src_cap = k if len(src) == 1 else 1
-    snk_cap = k if len(snk) == 1 else 1
-    net, s, t, internal, graph_arcs, source_arcs = _split_network(
-        g, src, snk, src_cap, snk_cap
-    )
-    if net.max_flow(s, t, k) < k:
-        return None
-    return _split_paths(g, net, internal, graph_arcs, source_arcs, src, k)
+    src, snk = _terminals(sources, sinks)
+    caps = (k if len(src) == 1 else 1, k if len(snk) == 1 else 1)
+    return _split_paths(g, src, snk, k, caps)
 
 
 def fan_paths(
@@ -286,9 +251,4 @@ def fan_paths(
     tgt = set(targets)
     if centre in tgt:
         raise GraphInputError("centre cannot be one of the targets")
-    net, s, t, internal, graph_arcs, source_arcs = _split_network(
-        g, {centre}, tgt, k, 1
-    )
-    if net.max_flow(s, t, k) < k:
-        return None
-    return _split_paths(g, net, internal, graph_arcs, source_arcs, {centre}, k)
+    return _split_paths(g, {centre}, tgt, k, (k, 1))

@@ -11,10 +11,12 @@ with more odd- than even-class edges and flips one side of it, strictly
 shrinking the odd-edge count.  Once at most two odd-class edges remain,
 phase two decides directly; since a cycle is odd exactly when it carries
 an odd number of odd-class edges, every skewed theta contains one of them.
-Two are cut down, flipped or split into smaller two-edge instances; the
-split pairs the cut edges by one 2-path flow per side and reads path
-parities from the labels (the lemma in `_two_odd_block`).  With one, e, a
-skewed theta exists iff two degree-3 vertices on opposite sides of e's
+Two are flipped down to one when the O(m) `small_flip_cut` finds a cut
+of at most three edges through both; otherwise a minimum cut between
+their linking paths either certifies a theta or is split into two
+smaller two-edge instances, pairing the cut edges by one 2-path flow per
+side and reading path parities from the labels (the lemma in
+`_two_odd_block`).  With one, e, a skewed theta exists iff two degree-3 vertices on opposite sides of e's
 block are joined by three edge-disjoint paths (the lemma in
 `one_odd_edge`), decided by at most one minimum cut per degree-3 vertex
 in O(n * m).  The exhaustive 2-linkage and disjoint-odd-cycle searches of
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from .core.connectivity import (
     bfs_spanning_tree,
     blocks,
+    is_two_connected,
     spanning_tree_fundamental_cycle,
 )
 from .core.flow import (
@@ -468,12 +471,33 @@ def decide_few_odd_edges(h: Graph, view: OddEdgeView) -> ThetaVerdict:
 
 def _few_odd_block(h: Graph, view: OddEdgeView) -> ThetaVerdict:
     """`decide_few_odd_edges` on one 2-connected block, without its block
-    pass or closing trace entry."""
+    pass or closing trace entry.
+
+    Two odd-class edges o1, o2 first meet the O(m) `small_flip_cut`: its
+    cut C is flipped and the block goes to the one-odd-edge test.  Only
+    without one do `two_odd_cut`'s flows run.  The order changes no
+    outcome.  Both odd edges cross C, so each of `two_odd_cut`'s linking
+    paths p1, p2 joins an end of o1 to an end of o2.  Neither path uses
+    o1 or o2 (the terminals are sealed), so each crosses C at most once,
+    through its third edge.  If p1 crossed, it would join ends on
+    opposite sides, and so would p2, which would need the same edge,
+    but the paths are disjoint.  So p1 and p2 lie on opposite sides of
+    C, their minimum cut has at most |C| <= 3 < 5 edges, and
+    `two_odd_cut` would return a cut rather than a theta, after which
+    `_two_odd_block` would flip C and log the same trace.
+    """
     if not view.odd_edges:
         return ThetaVerdict(False, ())
     if len(view.odd_edges) == 1:
         return _one_odd_block(h, view, range(h.n))
-    res = two_odd_cut(h, view)
+    cand = small_flip_cut(h, view)
+    if cand is not None:
+        flipped = flip(view, cand)
+        check(len(flipped.odd_edges) <= 1, "small-cut flip leaves at most one odd edge")
+        verdict = _one_odd_block(h, flipped, range(h.n))
+        flipped_on = ("flip-on-small-cut", {"cut": len(cand.edges)})
+        return ThetaVerdict(verdict.contains, (flipped_on,) + verdict.trace)
+    res = _linking_paths_cut(h, view)
     if isinstance(res, ThetaFound):
         return ThetaVerdict(True, ((res.rule, {"n": h.n, "m": h.m}),))
     return _two_odd_block(h, view, res)
@@ -574,9 +598,20 @@ def two_odd_cut(h: Graph, view: OddEdgeView) -> ThetaFound | EdgeCut:
     Five edge-disjoint connections between the two linking paths force
     three pairwise-crossing disjoint connections, two of which attach to
     the first path in equal classes and close a skewed theta.
+
+    Raises GraphInputError unless h is 2-connected: only then do the
+    linking paths exist.
     """
     if len(view.odd_edges) != 2:
         raise GraphInputError("expected exactly two odd-class edges")
+    if not is_two_connected(h):
+        raise GraphInputError("two_odd_cut expects a 2-connected graph")
+    return _linking_paths_cut(h, view)
+
+
+def _linking_paths_cut(h: Graph, view: OddEdgeView) -> ThetaFound | EdgeCut:
+    """`two_odd_cut` on a block: link the odd edges o1, o2 by disjoint
+    paths p1, p2 and take a minimum edge cut between them."""
     o1, o2 = view.odd_edges
     shared = set(o1) & set(o2)
     if shared:
@@ -599,11 +634,11 @@ def two_odd_cut(h: Graph, view: OddEdgeView) -> ThetaFound | EdgeCut:
 
 def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
     """Decide skewed-theta presence in a 2-connected h with exactly two
-    odd-class edges o1, o2, given the exact cut f through both and at
-    most two others that `two_odd_cut` returned: flip a smaller cut if
-    there is one, probe one-edge removals, then pair the cut edges across
-    each side of f and split along it into two strictly smaller two-odd
-    instances whose replacement paths preserve parity.
+    odd-class edges o1, o2 and no small flip cut, given the four-edge
+    exact cut f through both that `two_odd_cut` returned: probe one-edge
+    removals, then pair the cut edges across each side of f and split
+    along it into two strictly smaller two-odd instances whose
+    replacement paths preserve parity.
 
     Lemma.  Let f = {o1, o2, e1, e2} with sides C1, C2.  Every edge inside
     a side is even-class, so a side path from s to t is odd iff
@@ -636,16 +671,7 @@ def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
     o1, o2 = view.odd_edges
     trace: list[tuple[str, dict]] = []
     f.validate_against(h)
-
-    cand = small_flip_cut(h, view)
-    if cand is not None:
-        flipped = flip(view, cand)
-        check(len(flipped.odd_edges) <= 1, "small-cut flip leaves at most one odd edge")
-        trace.append(("flip-on-small-cut", {"cut": len(cand.edges)}))
-        verdict = _one_odd_block(h, flipped, range(h.n))
-        return ThetaVerdict(verdict.contains, tuple(trace) + verdict.trace)
-
-    check(len(f.edges) == 4, "past the small-cut scan the given cut has four edges")
+    check(len(f.edges) == 4, "with no small flip cut the given cut has four edges")
     e1, e2 = sorted(f.edges - {o1, o2})
 
     # single-edge-removal probes: afterwards every theta uses all of f

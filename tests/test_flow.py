@@ -57,6 +57,21 @@ class TestMinCut:
         with pytest.raises(GraphInputError):
             min_edge_cut_between(path_graph(3), {0, 1}, {1, 2})
 
+    def test_terminals_outside_the_graph_rejected(self):
+        # stray terminals would index past the vertex lists, or wrap
+        # around them when negative
+        g = path_graph(3)
+        for call in (
+            lambda: min_edge_cut_between(g, {0}, {5}),
+            lambda: min_edge_cut_between(g, {-1}, {2}),
+            lambda: edge_disjoint_paths(g, {-1}, {2}, 1),
+            lambda: vertex_disjoint_paths(g, {0}, {3}, 1),
+            lambda: vertex_disjoint_paths(g, {-2}, {2}, 1),
+            lambda: fan_paths(g, 0, {7}, 1),
+        ):
+            with pytest.raises(GraphInputError, match="vertices of the graph"):
+                call()
+
 
 class TestEdgeDisjointPaths:
     def test_cycle_arcs(self):

@@ -3,9 +3,10 @@ verbatim in behaviour as references: the set-level line-graph kernel and
 the vertex-stack block decomposition (same roots, same edge-to-vertex maps,
 same `BlockDecomposition`, same errors), the searches now routed
 through `bfs_path` and `Graph.connected_components` (same linkage paths,
-fundamental cycles, tree sides and edge components, same errors), and the
+fundamental cycles, tree sides and edge components, same errors), the
 exhaustive two-odd-edge split that one flow per side replaced (same
-verdicts and traces)."""
+verdicts and traces), and the arc-network flow kernel that augmenting on
+the graph's own adjacency replaced (same cuts, paths and None results)."""
 
 import random
 from itertools import combinations
@@ -14,6 +15,7 @@ from conftest import glued_two_odd_instances, two_odd_edge_instances
 
 from tperfect import theta
 from tperfect.core import Graph, complete_graph, cycle_graph
+from tperfect.core import flow as flows
 from tperfect.core.connectivity import (
     BlockDecomposition,
     bfs_spanning_tree,
@@ -676,3 +678,302 @@ class TestTwoOddSplit:
             assert got == want, (h.edges, view.bipartition.labels)
         assert len(splits) >= 150 and sum(splits) >= 100, (len(splits), sum(splits))
         assert len(splits) - sum(splits) >= 20, splits
+
+
+# -- reference: the arc-network flow kernel --------------------------------
+
+
+class RefNetwork:
+    """Directed residual network with integer capacities.
+
+    Arcs are stored in pairs: forward arcs get even ids, their residual
+    twins odd ids.
+    """
+
+    def __init__(self, nodes: int):
+        self.adj: list[list[int]] = [[] for _ in range(nodes)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_arc(self, u: int, v: int, cap: int) -> int:
+        i = len(self.to)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.adj[u].append(i)
+        self.to.append(u)
+        self.cap.append(0)
+        self.adj[v].append(i + 1)
+        return i
+
+    def flow_on(self, arc: int) -> int:
+        return self.cap[arc ^ 1]
+
+    def max_flow(self, s: int, t: int, limit: int) -> int:
+        flow = 0
+        while flow < limit:
+            parent_arc = [-1] * len(self.adj)
+            parent_arc[s] = -2
+            queue = [s]
+            head = 0
+            while head < len(queue) and parent_arc[t] == -1:
+                x = queue[head]
+                head += 1
+                for i in self.adj[x]:
+                    y = self.to[i]
+                    if self.cap[i] > 0 and parent_arc[y] == -1:
+                        parent_arc[y] = i
+                        queue.append(y)
+            if parent_arc[t] == -1:
+                break
+            x = t
+            while x != s:
+                i = parent_arc[x]
+                self.cap[i] -= 1
+                self.cap[i ^ 1] += 1
+                x = self.to[i ^ 1]
+            flow += 1
+        return flow
+
+    def residual_reachable(self, s: int) -> set[int]:
+        seen = {s}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for i in self.adj[x]:
+                y = self.to[i]
+                if self.cap[i] > 0 and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+
+def ref_walk_paths(out, start_credits):
+    paths = []
+    for start, credit in start_credits:
+        for _ in range(credit):
+            walk = [start]
+            x = start
+            while out.get(x):
+                x = out[x].pop(0)
+                walk.append(x)
+            path: list[int] = []
+            pos: dict[int, int] = {}
+            for v in walk:
+                if v in pos:
+                    for w in path[pos[v] + 1:]:
+                        del pos[w]
+                    del path[pos[v] + 1:]
+                else:
+                    pos[v] = len(path)
+                    path.append(v)
+            paths.append(path)
+    return paths
+
+
+def ref_edge_network(g, sources, sinks, cap_limit):
+    net = RefNetwork(g.n + 2)
+    s, t = g.n, g.n + 1
+    arc_of = {}
+    for u, v in g.edges:
+        arc_of[(u, v)] = net.add_arc(u, v, 1)
+        arc_of[(v, u)] = net.add_arc(v, u, 1)
+    source_arcs = {x: net.add_arc(s, x, cap_limit) for x in sorted(sources)}
+    for x in sorted(sinks):
+        net.add_arc(x, t, cap_limit)
+    return net, s, t, arc_of, source_arcs
+
+
+def ref_terminals(sources, sinks):
+    src, snk = set(sources), set(sinks)
+    if not src or not snk or src & snk:
+        raise GraphInputError("sources and sinks must be disjoint and nonempty")
+    return src, snk
+
+
+def ref_min_edge_cut_between(g, sources, sinks):
+    src, snk = ref_terminals(sources, sinks)
+    limit = g.m + 1
+    net, s, t, _, _ = ref_edge_network(g, src, snk, limit)
+    net.max_flow(s, t, limit)
+    reach = net.residual_reachable(s)
+    cut = flows.exact_cut(g, (x for x in range(g.n) if x in reach))
+    assert src <= cut.side_a and snk <= cut.side_b
+    return cut
+
+
+def ref_edge_disjoint_paths(g, sources, sinks, k):
+    src, snk = ref_terminals(sources, sinks)
+    net, s, t, arc_of, source_arcs = ref_edge_network(g, src, snk, g.m + 1)
+    if net.max_flow(s, t, k) < k:
+        return None
+    out = {}
+    for u, v in g.edges:
+        net_flow = net.flow_on(arc_of[(u, v)]) - net.flow_on(arc_of[(v, u)])
+        if net_flow > 0:
+            out.setdefault(u, []).append(v)
+        elif net_flow < 0:
+            out.setdefault(v, []).append(u)
+    for u in out:
+        out[u].sort()
+    credits = [(x, net.flow_on(source_arcs[x])) for x in sorted(src)]
+    paths = ref_walk_paths(out, credits)
+    if not (len(paths) == k and all(p[-1] in snk for p in paths)):
+        raise InternalInvariantError("flow decomposition")
+    return paths
+
+
+def ref_split_network(g, sources, sinks, source_cap, sink_cap):
+    net = RefNetwork(2 * g.n + 2)
+    s, t = 2 * g.n, 2 * g.n + 1
+    internal = {}
+    for v in range(g.n):
+        cap = source_cap if v in sources else sink_cap if v in sinks else 1
+        internal[v] = net.add_arc(2 * v, 2 * v + 1, cap)
+    graph_arcs = {}
+    for u, v in g.edges:
+        if u not in sinks and v not in sources:
+            graph_arcs[(u, v)] = net.add_arc(2 * u + 1, 2 * v, 1)
+        if v not in sinks and u not in sources:
+            graph_arcs[(v, u)] = net.add_arc(2 * v + 1, 2 * u, 1)
+    source_arcs = {x: net.add_arc(s, 2 * x, source_cap) for x in sorted(sources)}
+    for x in sorted(sinks):
+        net.add_arc(2 * x + 1, t, sink_cap)
+    return net, s, t, internal, graph_arcs, source_arcs
+
+
+def ref_split_paths(net, internal, graph_arcs, source_arcs, sources, k):
+    out = {}
+    for v, arc in internal.items():
+        for _ in range(net.flow_on(arc)):
+            out.setdefault(2 * v, []).append(2 * v + 1)
+    for (u, v), arc in graph_arcs.items():
+        reverse = graph_arcs.get((v, u))
+        net_flow = net.flow_on(arc) - (net.flow_on(reverse) if reverse is not None else 0)
+        if net_flow > 0:
+            out.setdefault(2 * u + 1, []).append(2 * v)
+    for x in out:
+        out[x].sort()
+    credits = [(2 * x, net.flow_on(source_arcs[x])) for x in sorted(sources)]
+    raw = ref_walk_paths(out, credits)
+    if len(raw) != k:
+        raise InternalInvariantError("split-flow decomposition")
+    collapsed = []
+    for p in raw:
+        q = [x // 2 for x in p]
+        dedup = [q[0]]
+        for v in q[1:]:
+            if v != dedup[-1]:
+                dedup.append(v)
+        collapsed.append(dedup)
+    return collapsed
+
+
+def ref_vertex_disjoint_paths(g, sources, sinks, k):
+    src, snk = ref_terminals(sources, sinks)
+    src_cap = k if len(src) == 1 else 1
+    snk_cap = k if len(snk) == 1 else 1
+    net, s, t, internal, graph_arcs, source_arcs = ref_split_network(
+        g, src, snk, src_cap, snk_cap
+    )
+    if net.max_flow(s, t, k) < k:
+        return None
+    return ref_split_paths(net, internal, graph_arcs, source_arcs, src, k)
+
+
+def ref_fan_paths(g, centre, targets, k):
+    tgt = set(targets)
+    if centre in tgt:
+        raise GraphInputError("centre cannot be one of the targets")
+    net, s, t, internal, graph_arcs, source_arcs = ref_split_network(g, {centre}, tgt, k, 1)
+    if net.max_flow(s, t, k) < k:
+        return None
+    return ref_split_paths(net, internal, graph_arcs, source_arcs, {centre}, k)
+
+
+def flow_instances(rnd, count):
+    """Random graphs of 2-12 vertices (subcubic, sparse or dense, so many
+    are disconnected) with disjoint source and sink sets of one to three
+    vertices and k from 0 to two above the largest useful flow."""
+    for i in range(count):
+        n = rnd.randint(2, 12)
+        if i % 3 == 0:
+            g = random_subcubic_graph(rnd, n)
+        else:
+            p = rnd.choice((0.15, 0.3, 0.5, 0.8))
+            g = Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+        order = list(range(n))
+        rnd.shuffle(order)
+        a = rnd.randint(1, min(3, n - 1))
+        b = rnd.randint(1, min(3, n - a))
+        yield g, set(order[:a]), set(order[a : a + b]), rnd.randint(0, g.max_degree() + 2)
+
+
+class TestFlowKernel:
+    def test_flows_match_arc_network_reference(self):
+        rnd = random.Random(4242)
+        seen = {"cut": set(), "paths": 0, "none": 0, "disconnected": 0, "sets": 0}
+        for g, src, snk, k in flow_instances(rnd, 3200):
+            seen["disconnected"] += not g.is_connected()
+            seen["sets"] += len(src) > 1 and len(snk) > 1
+            centre = min(src)
+            calls = [
+                (flows.min_edge_cut_between, ref_min_edge_cut_between, (g, src, snk)),
+                (flows.edge_disjoint_paths, ref_edge_disjoint_paths, (g, src, snk, k)),
+                (flows.vertex_disjoint_paths, ref_vertex_disjoint_paths, (g, src, snk, k)),
+                (flows.fan_paths, ref_fan_paths, (g, centre, snk | src - {centre}, k)),
+            ]
+            for fn, ref, args in calls:
+                got, want = result_or_error(fn, *args), result_or_error(ref, *args)
+                assert got == want, (fn.__name__, g.n, g.edges, src, snk, k)
+                if fn is flows.min_edge_cut_between:
+                    seen["cut"].add(len(got.edges))
+                else:
+                    seen["paths"] += bool(got)
+                    seen["none"] += got is None
+        assert seen["disconnected"] >= 500 and seen["sets"] >= 500, seen
+        assert {0, 1, 2, 3, 4, 5} <= seen["cut"], seen
+        assert seen["paths"] >= 2000 and seen["none"] >= 2000, seen
+
+    def test_terminal_errors_match_reference(self):
+        g = cycle_graph(5)
+        for src, snk in (((), {1}), ({0}, ()), ({0, 1}, {1, 2})):
+            for fn, ref in (
+                (flows.min_edge_cut_between, ref_min_edge_cut_between),
+                (flows.edge_disjoint_paths, ref_edge_disjoint_paths),
+                (flows.vertex_disjoint_paths, ref_vertex_disjoint_paths),
+            ):
+                args = (g, src, snk) + ((2,) if fn is not flows.min_edge_cut_between else ())
+                assert result_or_error(fn, *args) == result_or_error(ref, *args)
+        assert result_or_error(flows.fan_paths, g, 0, {0, 1}, 1) == result_or_error(
+            ref_fan_paths, g, 0, {0, 1}, 1
+        )
+
+    def test_small_cut_blocks_skip_the_two_odd_flows(self, monkeypatch):
+        # a two-odd-edge block with a small flip cut is flipped before any
+        # flow: its only min cuts are those of the one-odd-edge test on
+        # the flipped view, and no linking paths are sought
+        def refuse(*args):
+            raise AssertionError("two-odd linking paths sought")
+
+        cuts = []
+
+        def counted_cut(g, sources, sinks):
+            cuts.append((g.edges, sorted(sources), sorted(sinks)))
+            return flows.min_edge_cut_between(g, sources, sinks)
+
+        monkeypatch.setattr(theta, "vertex_disjoint_paths", refuse)
+        monkeypatch.setattr(theta, "min_edge_cut_between", counted_cut)
+        small = 0
+        for h, view in two_odd_edge_instances(random.Random(6161), 1500):
+            cand = theta.small_flip_cut(h, view)
+            if cand is None:
+                continue
+            small += 1
+            cuts.clear()
+            one_odd = theta._one_odd_block(h, theta.flip(view, cand), range(h.n))
+            expected, cuts[:] = list(cuts), []
+            verdict = decide_few_odd_edges(h, view)
+            assert cuts == expected, (h.edges, view.bipartition.labels)
+            assert verdict.trace[0] == ("flip-on-small-cut", {"cut": len(cand.edges)})
+            assert verdict.trace[1 : 1 + len(one_odd.trace)] == one_odd.trace
+        assert small >= 500, small

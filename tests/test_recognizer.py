@@ -14,6 +14,7 @@ from tperfect.core import (
     squared_cycle,
     wheel_5,
 )
+from tperfect.core.isomorphism import canonical_form
 from tperfect.corpus import generate_corpus
 from tperfect.errors import GraphInputError, NotClawFreeError
 from tperfect.linegraph import line_graph, recognize_line_graph
@@ -249,3 +250,43 @@ class TestRootBeforeClawScan:
         assert calls == {"root": 1, "claw": 0}
         is_t_perfect(squared_cycle(7))  # 3-connected, not a line graph
         assert calls == {"root": 2, "claw": 1}
+
+    def test_components_searched_only_without_a_root(self, monkeypatch):
+        searches = []
+        components = Graph.connected_components
+
+        def counted(g):
+            searches.append(g.n)
+            return components(g)
+
+        monkeypatch.setattr(Graph, "connected_components", counted)
+        # a found root proves the input connected
+        assert is_t_perfect(line_graph(complete_graph(4))[0]).t_perfect
+        assert searches == []
+        # a disconnected line graph is searched once as a whole
+        two_triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        d = is_t_perfect(two_triangles)
+        assert d.t_perfect and [e.rule for e in d.certificate].count("component") == 2
+        assert searches.count(6) == 2  # the root search's test, then the split
+        empty = is_t_perfect(Graph(0))
+        assert empty.t_perfect and empty.certificate == ()
+
+
+class TestExceptionalForms:
+    def test_fixed_forms_once_and_block_forms_on_matching_size(self, monkeypatch):
+        forms = []
+
+        def counted(g):
+            forms.append((g.n, g.m))
+            return canonical_form(g)
+
+        monkeypatch.setattr(recognizer, "canonical_form", counted)
+        recognizer._exceptional_forms.cache_clear()
+        for _ in range(2):
+            assert not is_t_perfect(squared_cycle(7)).t_perfect
+        fixed = [(7, 14), (10, 20), (6, 11), (6, 10), (9, 16)]
+        assert forms == fixed + [(7, 14), (7, 14)]
+        forms.clear()
+        d = is_t_perfect(squared_cycle(11))  # n and m match no fixed graph
+        assert not d.t_perfect and d.certificate[-1].rule == "three-connected"
+        assert forms == []

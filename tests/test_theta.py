@@ -226,6 +226,23 @@ class TestTwoOdd:
         assert isinstance(res, ThetaFound)
         assert has_skewed_theta_bruteforce(g)
 
+    def test_not_two_connected_is_an_input_error(self):
+        # a path with both edges odd (no far-end link avoiding the shared
+        # vertex), two 5-cycles joined by a bridge (no disjoint linking
+        # paths), and a 6-cycle with a pendant vertex (linking paths exist,
+        # but the vertex 0 cuts off the pendant one)
+        bridged = list(cycle_graph(5).edges) + [(u + 5, v + 5) for u, v in cycle_graph(5).edges]
+        instances = [
+            (Graph(3, [(0, 1), (1, 2)]), [0, 0, 0]),
+            (Graph(10, bridged + [(0, 5)]), [0, 1, 1, 0, 1, 1, 0, 0, 1, 0]),
+            (Graph(7, list(cycle_graph(6).edges) + [(0, 6)]), [0, 0, 1, 0, 0, 1, 1]),
+        ]
+        for g, labels in instances:
+            view = make_view(g, labels)
+            assert len(view.odd_edges) == 2
+            with pytest.raises(GraphInputError, match="2-connected"):
+                two_odd_cut(g, view)
+
     def test_separate_blocks_dispatch(self):
         # two triangles joined by a bridge, one odd edge in each triangle:
         # the dispatcher sends each triangle block to the one-odd-edge test
