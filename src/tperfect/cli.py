@@ -164,7 +164,7 @@ def _cmd_skewed_theta(args, out) -> int:
 
 def _cmd_line_root(args, out) -> int:
     def decide(g):
-        roots = []
+        edges = []
         mapping = {}
         offset = 0
         for comp in g.connected_components():
@@ -175,18 +175,11 @@ def _cmd_line_root(args, out) -> int:
             new_to_old = {i: o for o, i in old_to_new.items()}
             for (a, b), vtx in sorted(rm.edge_to_vertex.items()):
                 mapping[f"{a + offset},{b + offset}"] = new_to_old[vtx]
-            roots.append(rm.root)
+            edges.extend((u + offset, v + offset) for u, v in rm.root.edges)
             offset += rm.root.n
-        if not roots:
+        if not mapping:
             return {"is_line_graph": False}, 1
-        total = Graph(
-            offset,
-            [
-                (u + off, v + off)
-                for root, off in zip(roots, _offsets(roots))
-                for u, v in root.edges
-            ],
-        )
+        total = Graph(offset, edges)
         return {
             "is_line_graph": True,
             "root_graph6": graph_to_graph6(total),
@@ -194,13 +187,6 @@ def _cmd_line_root(args, out) -> int:
         }, 0
 
     return _each_graph("line-root", args, out, decide)
-
-
-def _offsets(roots):
-    off = 0
-    for root in roots:
-        yield off
-        off += root.n
 
 
 def _cmd_oracle(args, out) -> int:

@@ -10,15 +10,11 @@ from .graph import Edge, Graph, bfs_path, edge_key
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (maximal 2-connected subgraphs, bridges, isolated vertices),
-    cut vertices, and the bipartite block/cut-vertex incidence structure.
-
-    `tree_edges` pairs a block index with each cut vertex it contains.
-    """
+    """Blocks (maximal 2-connected subgraphs, bridges, isolated vertices)
+    and cut vertices."""
 
     blocks: tuple[frozenset[int], ...]
     cut_vertices: frozenset[int]
-    tree_edges: tuple[tuple[int, int], ...]
 
 
 def blocks(g: Graph) -> BlockDecomposition:
@@ -83,11 +79,7 @@ def blocks(g: Graph) -> BlockDecomposition:
             cut.add(root)
 
     ordered = sorted(raw_blocks, key=lambda b: (min(b), sorted(b)))
-    blks = tuple(frozenset(b) for b in ordered)
-    tree = tuple(
-        (i, c) for i, b in enumerate(blks) for c in sorted(b) if c in cut
-    )
-    return BlockDecomposition(blks, frozenset(cut), tree)
+    return BlockDecomposition(tuple(frozenset(b) for b in ordered), frozenset(cut))
 
 
 def is_two_connected(g: Graph) -> bool:
@@ -144,16 +136,9 @@ def _cut_vertices_without(g: Graph, u: int) -> set[int] | None:
 
 def _first_side(g: Graph, u: int, v: int) -> set[int]:
     """The component of G - {u, v} that holds its smallest vertex."""
-    start = min({0, 1, 2} - {u, v})
-    seen = {start, u, v}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in g.neighbors(x):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen - {u, v}
+    rest = [w for w in range(g.n) if w != u and w != v]
+    sub, _ = g.induced(rest)
+    return {rest[i] for i in sub.connected_components()[0]}
 
 
 def _least_separating_pair(g: Graph) -> tuple[int, int] | None:
@@ -196,10 +181,6 @@ class Separation:
 
     g1_vertices: frozenset[int]
     g2_vertices: frozenset[int]
-
-    @property
-    def order(self) -> int:
-        return len(self.g1_vertices & self.g2_vertices)
 
     @property
     def cut(self) -> frozenset[int]:

@@ -75,9 +75,6 @@ class Graph:
     def m(self) -> int:
         return len(self._edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 

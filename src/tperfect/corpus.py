@@ -10,7 +10,7 @@ from .core.isomorphism import canonical_form
 from .core.named import NAMED_CATALOGUE, make_named
 from .errors import GraphInputError
 from .linegraph import line_graph
-from .oracle import find_claw_in
+from .recognizer import find_claw
 
 KINDS = ("random-subcubic", "random-clawfree-via-linegraph", "named")
 
@@ -35,21 +35,6 @@ def random_subcubic_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges)
 
 
-def random_clawfree_graph(rng: random.Random, root_n: int, max_n: int | None = None) -> Graph:
-    """A claw-free sample: the line graph of a random subcubic root with at
-    least one edge (line graphs are claw-free; verified as a post-check)."""
-    while True:
-        root = random_subcubic_graph(rng, root_n)
-        if root.m == 0:
-            continue
-        if max_n is not None and root.m > max_n:
-            continue
-        g, _ = line_graph(root)
-        if find_claw_in(g) is not None:
-            raise AssertionError("line graph produced an induced claw")
-        return g
-
-
 def generate_corpus(
     kind: str,
     count: int,
@@ -61,12 +46,20 @@ def generate_corpus(
 
     For the claw-free kind, roots are random subcubic graphs and sizes are
     bounded so the line graph has between n_min and n_max vertices; the
-    named kind ignores count/seed and returns the fixed catalogue.
+    named kind ignores count/seed and returns the fixed catalogue.  Raises
+    GraphInputError when n_min > n_max, n_min < 0, or, for the claw-free
+    kind, n_min < 1.
     """
     if count < 1:
         raise GraphInputError("corpus size must be at least 1")
     if kind == "named":
         return [make_named(name) for name in NAMED_CATALOGUE]
+    # on an empty range the claw-free sampler never returns
+    low = 1 if kind == "random-clawfree-via-linegraph" else 0
+    if not low <= n_min <= n_max:
+        raise GraphInputError(
+            f"size range {n_min}..{n_max} is empty or starts below {low}"
+        )
     rng = random.Random(seed)
     out: list[Graph] = []
     if kind == "random-subcubic":
@@ -80,7 +73,7 @@ def generate_corpus(
             if not (n_min <= root.m <= n_max):
                 continue
             g, _ = line_graph(root)
-            if find_claw_in(g) is not None:
+            if find_claw(g) is not None:
                 raise AssertionError("line graph produced an induced claw")
             out.append(g)
         return out
@@ -126,8 +119,4 @@ def enumerate_connected_graphs(
 
 
 def is_clawfree(g: Graph) -> bool:
-    return find_claw_in(g) is None
-
-
-def is_subcubic(g: Graph) -> bool:
-    return g.is_subcubic()
+    return find_claw(g) is None

@@ -16,6 +16,7 @@ from .core.graph import Graph, edge_key
 from .core.isomorphism import canonical_form
 from .core.named import complete_graph, squared_cycle, wheel_5
 from .errors import NotClawFreeError, SizeGuardError
+from .recognizer import find_claw
 
 T_PERFECT_SIZE_GUARD = 12
 THETA_SIZE_GUARD = 14
@@ -45,16 +46,6 @@ def t_contract(g: Graph, v: int) -> Graph | None:
     return Graph(len(keep) + 1, sorted(es))
 
 
-def find_claw_in(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
-    for u in range(g.n):
-        nbrs = g.sorted_neighbors(u)
-        for trio in combinations(nbrs, 3):
-            a, b, c = trio
-            if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
-                return u, trio
-    return None
-
-
 _FORBIDDEN: list[tuple[Graph, tuple]] | None = None
 
 
@@ -64,13 +55,6 @@ def _forbidden_graphs() -> list[tuple[Graph, tuple]]:
         gs = [complete_graph(4), wheel_5(), squared_cycle(7), squared_cycle(10)]
         _FORBIDDEN = [(h, canonical_form(h)) for h in gs]
     return _FORBIDDEN
-
-
-def _is_forbidden(g: Graph, canon: tuple) -> bool:
-    for h, hc in _forbidden_graphs():
-        if g.n == h.n and g.m == h.m and canon == hc:
-            return True
-    return False
 
 
 def _reaches_target(g: Graph, targets: list[tuple[Graph, tuple]]) -> bool:
@@ -134,9 +118,9 @@ def is_t_perfect_bruteforce(g: Graph, size_guard: int = T_PERFECT_SIZE_GUARD) ->
     four forbidden graphs; decided by exhaustive closure search."""
     if g.n > size_guard:
         raise SizeGuardError(f"t-minor closure guard: {g.n} > {size_guard}")
-    w = find_claw_in(g)
+    w = find_claw(g)
     if w is not None:
-        raise NotClawFreeError(w[0], w[1])
+        raise NotClawFreeError(w.centre, w.leaves)
     return not _reaches_target(g, _forbidden_graphs())
 
 

@@ -236,7 +236,7 @@ def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
             run.parity(g2, map2[u], map2[v], "odd"),
             run.parity(g2, map2[u], map2[v], "even"),
         )
-        case, built = _reduced_sides(g, (g1, map1), (g2, map2), u, v, parities)
+        case, built = _reduced_sides((g1, map1), (g2, map2), u, v, parities)
         if case == "mixed-parities-both-sides":
             run.log(case, origins, range(g.n), pair_detail)
             return False
@@ -261,12 +261,12 @@ def _compose_origins(origins, old_to_new, child_n):
     return tuple(out)
 
 
-def _reduced_sides(g, side1, side2, u, v, parities):
+def _reduced_sides(side1, side2, u, v, parities):
     """Case split on induced separator-path parities.
 
     parities = (odd in side1, even in side1, odd in side2, even in side2).
     Returns (case name, children) where each child is
-    (graph, old->new map into it, merged-pair marker).
+    (graph, old->new map into it); children is None in the mixed case.
     """
     g1, map1 = side1
     g2, map2 = side2
@@ -297,22 +297,3 @@ def _reduced_sides(g, side1, side2, u, v, parities):
         return "separation-even-one-side", [with_edge(g2, map2), identified(g1, map1)]
     check(not e1 and not e2, "remaining case: even paths on neither side")
     return "separation-even-neither-side", [(g1, dict(map1)), (g2, dict(map2))]
-
-
-def build_reduced_sides(
-    g: Graph,
-    separation,
-    parities: tuple[bool, bool, bool, bool],
-) -> tuple[Graph, Graph, str]:
-    """Public surface for the separation case split: returns the two
-    reduced sides and the case tag.  Raises on the mixed-parities case
-    (the caller must reject the graph instead of reducing)."""
-    side1 = sorted(separation.g1_vertices)
-    side2 = sorted(separation.g2_vertices)
-    u, v = sorted(separation.cut)
-    g1, map1 = g.induced(side1)
-    g2, map2 = g.induced(side2)
-    case, children = _reduced_sides(g, (g1, map1), (g2, map2), u, v, parities)
-    if children is None:
-        raise GraphInputError("mixed parities on both sides: graph is t-imperfect")
-    return children[0][0], children[1][0], case

@@ -16,11 +16,12 @@ of at most three edges through both; otherwise a minimum cut between
 their linking paths either certifies a theta or is split into two
 smaller two-edge instances, pairing the cut edges by one 2-path flow per
 side and reading path parities from the labels (the lemma in
-`_two_odd_block`).  With one, e, a skewed theta exists iff two degree-3 vertices on opposite sides of e's
-block are joined by three edge-disjoint paths (the lemma in
-`one_odd_edge`), decided by at most one minimum cut per degree-3 vertex
-in O(n * m).  The exhaustive 2-linkage and disjoint-odd-cycle searches of
-`parity` are references for the tests, not decision steps.
+`_two_odd_block`).  With one, e, a skewed theta exists iff two degree-3
+vertices on opposite sides of e's block are joined by three edge-disjoint
+paths (the lemma in `one_odd_edge`), decided by at most one minimum cut
+per degree-3 vertex in O(n * m).  The exhaustive 2-linkage and
+disjoint-odd-cycle searches of `parity` are references for the tests, not
+decision steps.
 
 Verdicts carry a trace of fired rules; explicit theta subgraphs are not
 extracted (the brute-force oracle provides witnesses at desk scale).
@@ -62,46 +63,34 @@ NO_THETA = "no-skewed-theta"
 
 
 @dataclass(frozen=True)
-class Bipartition:
-    """A two-coloring of the vertex set; sides may be empty."""
-
-    labels: tuple[int, ...]
-
-    def side(self, v: int) -> int:
-        return self.labels[v]
-
-    def same_side(self, u: int, v: int) -> bool:
-        return self.labels[u] == self.labels[v]
-
-
-@dataclass(frozen=True)
 class OddEdgeView:
-    """A bipartition together with the derived odd/even edge split.
+    """A bipartition, as one side label (0 or 1) per vertex, together with
+    the derived odd/even edge split.
 
     An edge is odd-class when its endpoints share a side; `even_graph` is
     the spanning subgraph of the even-class edges.
     """
 
     graph: Graph
-    bipartition: Bipartition
+    labels: tuple[int, ...]
     odd_edges: tuple[Edge, ...]
     even_graph: Graph
 
     def is_odd(self, e: Edge) -> bool:
         u, v = e
-        return self.bipartition.same_side(u, v)
+        return self.labels[u] == self.labels[v]
 
     def count_odd(self, edges) -> int:
         return sum(1 for e in edges if self.is_odd(e))
 
 
 def make_view(g: Graph, labels) -> OddEdgeView:
-    bp = Bipartition(tuple(labels))
-    if len(bp.labels) != g.n:
+    labels = tuple(labels)
+    if len(labels) != g.n:
         raise GraphInputError("bipartition must label every vertex")
-    odd = tuple(e for e in g.edges if bp.labels[e[0]] == bp.labels[e[1]])
-    even = Graph._trusted(g.n, [e for e in g.edges if bp.labels[e[0]] != bp.labels[e[1]]])
-    return OddEdgeView(g, bp, odd, even)
+    odd = tuple(e for e in g.edges if labels[e[0]] == labels[e[1]])
+    even = Graph._trusted(g.n, [e for e in g.edges if labels[e[0]] != labels[e[1]]])
+    return OddEdgeView(g, labels, odd, even)
 
 
 def spanning_tree_view(g: Graph) -> OddEdgeView:
@@ -127,7 +116,7 @@ def spanning_tree_view(g: Graph) -> OddEdgeView:
 def view_for_subgraph(view: OddEdgeView, sub: Graph, old_to_new: dict[int, int]) -> OddEdgeView:
     labels = [0] * sub.n
     for old, new in old_to_new.items():
-        labels[new] = view.bipartition.side(old)
+        labels[new] = view.labels[old]
     return make_view(sub, labels)
 
 
@@ -159,7 +148,7 @@ def flip(view: OddEdgeView, cut: EdgeCut) -> OddEdgeView:
         raise GraphInputError(
             f"flip needs more odd than even edges in the cut ({odd_in} vs {even_in})"
         )
-    labels = list(view.bipartition.labels)
+    labels = list(view.labels)
     for v in cut.side_a:
         labels[v] ^= 1
     new = make_view(view.graph, labels)
@@ -348,20 +337,16 @@ def triads(
 
 
 def _assemble_cycle(ring: set[Edge]) -> list[int]:
-    adj: dict[int, list[int]] = {}
-    for a, b in ring:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    check(all(len(v) == 2 for v in adj.values()), "ring edges must form a cycle")
-    start = min(adj)
-    order = [start, min(adj[start])]
-    while True:
-        prev, cur = order[-2], order[-1]
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == start:
-            break
-        order.append(nxt)
-    check(len(order) == len(adj), "ring must be a single cycle")
+    """The ring's vertices in cyclic order, from its least vertex towards
+    that vertex's smaller ring neighbour: the path around the ring that
+    avoids the edge to its larger one.  The ring is one cycle exactly
+    when that path exists and has as many vertices as the ring has edges.
+    """
+    ring_graph = Graph._trusted(max(b for _, b in ring) + 1, sorted(ring))
+    start = min(a for a, _ in ring)
+    last = ring_graph.sorted_neighbors(start)[-1]
+    order = bfs_path(ring_graph, {start}, {last}, banned_edges=[(start, last)])
+    check(order is not None and len(order) == len(ring), "ring must be a single cycle")
     return order
 
 
@@ -552,12 +537,11 @@ def _one_odd_block(g: Graph, view: OddEdgeView, names) -> ThetaVerdict:
     if not view.odd_edges:
         return ThetaVerdict(False, (("no-odd-edge", {"n": g.n}),))
     trace: list[tuple[str, dict]] = []
-    side = view.bipartition.side
     cubic = [v for v in range(g.n) if g.degree(v) == 3]
-    if len({side(v) for v in cubic}) < 2:
+    if len({view.labels[v] for v in cubic}) < 2:
         trace.append(("one-sided-branch-vertices", {"n": g.n, "cubic": len(cubic)}))
         return ThetaVerdict(False, tuple(trace))
-    pair = _opposite_side_branch_pair(g, side, cubic)
+    pair = _opposite_side_branch_pair(g, view.labels, cubic)
     if pair is not None:
         trace.append(("opposite-side-branch-pair", {"pair": [names[v] for v in pair]}))
         return ThetaVerdict(True, tuple(trace))
@@ -565,14 +549,14 @@ def _one_odd_block(g: Graph, view: OddEdgeView, names) -> ThetaVerdict:
     return ThetaVerdict(False, tuple(trace))
 
 
-def _opposite_side_branch_pair(g: Graph, side, cubic: list[int]) -> tuple[int, int] | None:
+def _opposite_side_branch_pair(g: Graph, labels, cubic: list[int]) -> tuple[int, int] | None:
     """Two opposite-side vertices of `cubic` joined by three edge-disjoint
     paths, or None (see `one_odd_edge`)."""
     classes = [cubic]
     while classes:
         members = classes.pop()
         r = members[0]
-        v = next((w for w in members if side(w) != side(r)), None)
+        v = next((w for w in members if labels[w] != labels[r]), None)
         if v is None:
             continue
         cut = min_edge_cut_between(g, {r}, {v})
@@ -677,7 +661,7 @@ def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
     # single-edge-removal probes: afterwards every theta uses all of f
     for o_probe in (o1, o2):
         probe = h.without_edge(*o_probe)
-        pview = make_view(probe, view.bipartition.labels)
+        pview = make_view(probe, view.labels)
         verdict = one_odd_edge(probe, pview)
         trace.append(("probe-without-odd-edge", {"edge": list(o_probe)}))
         trace.extend(verdict.trace)
@@ -686,7 +670,7 @@ def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
     for e_probe in (e1, e2):
         probe = h.without_edge(*e_probe)
         cand = exact_cut(probe, f.side_a)
-        pview = make_view(probe, view.bipartition.labels)
+        pview = make_view(probe, view.labels)
         flipped = flip(pview, cand)
         check(len(flipped.odd_edges) == 1, "probe flip leaves one odd edge")
         verdict = one_odd_edge(probe, flipped)
@@ -766,7 +750,7 @@ def _split_along_cut(h, view, f, o1, o2, e1, e2):
     and replaces the far detours by one- or two-edge paths of the far
     paths' parity class, read from the labels."""
     rest = h.without_edges(f.edges)
-    labels = view.bipartition.labels
+    labels = view.labels
     sides = []
     for side in (f.side_a, f.side_b):
         x, y, a, b = (next(w for w in e if w in side) for e in (o1, o2, e1, e2))
@@ -813,7 +797,7 @@ def _one_side_graph(h, view, keep_side, x_k, y_k, p_repl, q_repl):
     for a, b in extra_edges:
         es.add(edge_key(old_to_new[a], old_to_new[b]))
     child = Graph(len(order), sorted(es))
-    labels = [view.bipartition.side(v) for v in order]
+    labels = [view.labels[v] for v in order]
     cview = make_view(child, labels)
     check(len(cview.odd_edges) == 2, "split side keeps exactly two odd edges")
     check(child.is_subcubic(), "split side stays subcubic")

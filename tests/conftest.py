@@ -65,7 +65,7 @@ def two_odd_edge_instances(rnd, count):
     made = 0
     while made < count:
         g = random_subcubic_graph(rnd, rnd.randint(5, 16))
-        labels = spanning_tree_view(g).bipartition.labels
+        labels = spanning_tree_view(g).labels
         odd = [e for e in g.edges if labels[e[0]] == labels[e[1]]]
         if len(odd) < 2:
             continue

@@ -142,6 +142,30 @@ class TestGen:
         assert a == b
 
 
+class TestEmptySizeRange:
+    """An empty or negative size range is an input error (exit 2, JSON
+    error), not a hang or a traceback."""
+
+    def check_input_error(self, argv):
+        code, text = run(argv)
+        assert code == 2
+        assert "size range" in json.loads(text)["error"]
+
+    def test_gen_clawfree_empty_range(self):
+        self.check_input_error(
+            ["gen", "--kind", "random-clawfree-via-linegraph", "--min-n", "9", "--max-n", "7"]
+        )
+
+    def test_gen_subcubic_empty_range(self):
+        self.check_input_error(
+            ["gen", "--kind", "random-subcubic", "--min-n", "9", "--max-n", "5"]
+        )
+
+    def test_corpus_check_below_its_smallest_size(self):
+        # corpus-check draws line graphs with at least 4 vertices
+        self.check_input_error(["corpus-check", "--max-n", "3"])
+
+
 class TestDeterminism:
     def test_reports_identical_minus_timing(self, files):
         outs = []

@@ -43,6 +43,20 @@ class TestGenerators:
         with pytest.raises(GraphInputError):
             generate_corpus("random-subcubic", 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "kind, n_min, n_max",
+        [("random-subcubic", -1, 3), ("random-clawfree-via-linegraph", 0, 3)],
+    )
+    def test_size_range_below_the_smallest_graph(self, kind, n_min, n_max):
+        # empty ranges are checked through the CLI in test_cli.py
+        with pytest.raises(GraphInputError, match="size range"):
+            generate_corpus(kind, 3, seed=0, n_min=n_min, n_max=n_max)
+
+    def test_smallest_size_ranges(self):
+        assert {g.n for g in generate_corpus("random-subcubic", 5, 0, n_min=0, n_max=0)} == {0}
+        for g in generate_corpus("random-clawfree-via-linegraph", 5, 0, n_min=1, n_max=1):
+            assert g.n == 1
+
 
 class TestEnumeration:
     def test_connected_graph_counts(self):

@@ -3,10 +3,11 @@ verbatim in behaviour as references: the set-level line-graph kernel and
 the vertex-stack block decomposition (same roots, same edge-to-vertex maps,
 same `BlockDecomposition`, same errors), the searches now routed
 through `bfs_path` and `Graph.connected_components` (same linkage paths,
-fundamental cycles, tree sides and edge components, same errors), the
-exhaustive two-odd-edge split that one flow per side replaced (same
-verdicts and traces), and the arc-network flow kernel that augmenting on
-the graph's own adjacency replaced (same cuts, paths and None results)."""
+fundamental cycles, tree sides, edge components, ring orders and
+separation sides, same errors), the exhaustive two-odd-edge split that
+one flow per side replaced (same verdicts and traces), and the
+arc-network flow kernel that augmenting on the graph's own adjacency
+replaced (same cuts, paths and None results)."""
 
 import random
 from itertools import combinations
@@ -18,6 +19,7 @@ from tperfect.core import Graph, complete_graph, cycle_graph
 from tperfect.core import flow as flows
 from tperfect.core.connectivity import (
     BlockDecomposition,
+    _first_side,
     bfs_spanning_tree,
     blocks,
     spanning_tree_fundamental_cycle,
@@ -27,6 +29,7 @@ from tperfect.corpus import random_subcubic_graph
 from tperfect.errors import GraphInputError, InternalInvariantError, SizeGuardError
 from tperfect.parity import LinkageQuery, find_two_disjoint_paths, has_two_disjoint_odd_cycles
 from tperfect.theta import (
+    _assemble_cycle,
     _edge_components,
     _one_side_graph,
     _split_tree_at_edge,
@@ -206,9 +209,7 @@ def ref_blocks(g):
                         if u != root or root_children > 1:
                             cut.add(u)
     ordered = sorted(raw_blocks, key=lambda b: (min(b), sorted(b)))
-    blks = tuple(frozenset(b) for b in ordered)
-    tree = tuple((i, c) for i, b in enumerate(blks) for c in sorted(b) if c in cut)
-    return BlockDecomposition(blks, frozenset(cut), tree)
+    return BlockDecomposition(tuple(frozenset(b) for b in ordered), frozenset(cut))
 
 
 # -- corpora --------------------------------------------------------------
@@ -489,6 +490,39 @@ def ref_edge_components(edges):
     return comps
 
 
+def ref_assemble_cycle(ring):
+    adj = {}
+    for a, b in ring:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    if not all(len(v) == 2 for v in adj.values()):
+        raise InternalInvariantError("ring edges must form a cycle")
+    start = min(adj)
+    order = [start, min(adj[start])]
+    while True:
+        prev, cur = order[-2], order[-1]
+        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+        if nxt == start:
+            break
+        order.append(nxt)
+    if len(order) != len(adj):
+        raise InternalInvariantError("ring must be a single cycle")
+    return order
+
+
+def ref_first_side(g, u, v):
+    start = min({0, 1, 2} - {u, v})
+    seen = {start, u, v}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in g.neighbors(x):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen - {u, v}
+
+
 def result_or_error(fn, *args):
     try:
         return fn(*args)
@@ -579,6 +613,67 @@ class TestBfsRoutedSearches:
             assert got == ref_edge_components(edges), (n, edges)
             many += len(got) > 1
         assert many > 300
+
+
+def error_type_or_result(fn, *args):
+    got = result_or_error(fn, *args)
+    return got[0] if isinstance(got, tuple) else got
+
+
+def random_ring(rnd, n, length):
+    """The edges of a cycle through `length` random vertices below n."""
+    order = rnd.sample(range(n), length)
+    return {edge_key(a, b) for a, b in zip(order, order[1:] + order[:1])}
+
+
+class TestRingAndSideSearches:
+    def test_ring_order_matches_reference(self):
+        rnd = random.Random(20)
+        for _ in range(3000):
+            n = rnd.randint(3, 60)
+            ring = random_ring(rnd, n, rnd.randint(3, n))
+            assert _assemble_cycle(ring) == ref_assemble_cycle(ring), ring
+
+    def test_broken_rings_fail_in_both(self):
+        # two disjoint cycles, a chord, a path and a pendant edge: the
+        # messages differ, the invariant error does not
+        rnd = random.Random(21)
+        for _ in range(600):
+            n = rnd.randint(8, 40)
+            order = rnd.sample(range(n), rnd.randint(6, n))
+            cut = rnd.randint(3, len(order) - 3)
+            rings = [
+                {edge_key(a, b) for part in (order[:cut], order[cut:])
+                 for a, b in zip(part, part[1:] + part[:1])},
+                {edge_key(a, b) for a, b in zip(order, order[1:] + order[:1])}
+                | {edge_key(order[0], order[cut])},
+                {edge_key(a, b) for a, b in zip(order, order[1:])},
+                {edge_key(a, b) for a, b in zip(order[1:], order[2:] + order[1:2])}
+                | {edge_key(order[0], order[rnd.randrange(1, len(order))])},
+            ]
+            for ring in rings:
+                got = error_type_or_result(_assemble_cycle, ring)
+                assert got == error_type_or_result(ref_assemble_cycle, ring), ring
+                assert got == "InternalInvariantError", ring
+
+    def test_separation_side_matches_reference(self):
+        rnd = random.Random(22)
+        pairs = split = 0
+        for _ in range(600):
+            n = rnd.randint(4, 16)
+            if rnd.random() < 0.7:
+                g = relabelled(rnd, random_subcubic_graph(rnd, n))
+            else:
+                p = rnd.uniform(0.15, 0.5)
+                g = Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+            for u, v in combinations(range(n), 2):
+                want = ref_first_side(g, u, v)
+                assert _first_side(g, u, v) == want, (g.edges, u, v)
+                pairs += 1
+                split += len(want) < n - 2
+        # half the pairs leave G - {u, v} disconnected, so a side taken
+        # from any other component than the first one fails here
+        assert pairs > 25000 and split > 12000, (pairs, split)
 
 
 # -- reference: the exhaustive two-odd-edge split --------------------------
@@ -675,7 +770,7 @@ class TestTwoOddSplit:
                 m.setattr(theta, "_split_along_cut", counted_split)
                 m.setattr(theta, "_side_partner", checked_partner)
                 got = result_or_error(decide_few_odd_edges, h, view)
-            assert got == want, (h.edges, view.bipartition.labels)
+            assert got == want, (h.edges, view.labels)
         assert len(splits) >= 150 and sum(splits) >= 100, (len(splits), sum(splits))
         assert len(splits) - sum(splits) >= 20, splits
 
@@ -973,7 +1068,7 @@ class TestFlowKernel:
             one_odd = theta._one_odd_block(h, theta.flip(view, cand), range(h.n))
             expected, cuts[:] = list(cuts), []
             verdict = decide_few_odd_edges(h, view)
-            assert cuts == expected, (h.edges, view.bipartition.labels)
+            assert cuts == expected, (h.edges, view.labels)
             assert verdict.trace[0] == ("flip-on-small-cut", {"cut": len(cand.edges)})
             assert verdict.trace[1 : 1 + len(one_odd.trace)] == one_odd.trace
         assert small >= 500, small

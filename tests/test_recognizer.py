@@ -16,15 +16,15 @@ from tperfect.core import (
 )
 from tperfect.core.isomorphism import canonical_form
 from tperfect.corpus import generate_corpus
-from tperfect.errors import GraphInputError, NotClawFreeError
+from tperfect.errors import NotClawFreeError
 from tperfect.linegraph import line_graph, recognize_line_graph
 from tperfect.oracle import is_t_perfect_bruteforce
 from tperfect.parity import DEFAULT_CONFIG
 from tperfect.recognizer import (
     Decision,
     _decide,
+    _reduced_sides,
     _Run,
-    build_reduced_sides,
     find_claw,
     is_t_perfect,
 )
@@ -116,28 +116,40 @@ class TestCertificates:
         assert d.stats["rule_applications"] >= d.stats["decide_calls"]
 
 
+def reduce_separation(g, sep, parities):
+    """`_reduced_sides` on the two induced sides of `sep`, as `_decide`
+    calls it."""
+    u, v = sorted(sep.cut)
+    side1 = g.induced(sep.g1_vertices)
+    side2 = g.induced(sep.g2_vertices)
+    return _reduced_sides(side1, side2, u, v, parities)
+
+
 class TestReducedSides:
     def test_shared_edge_lands_in_unchanged_case(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
         sep = Separation(frozenset({0, 1, 2}), frozenset({0, 1, 3}))
         # the separator edge is present: every induced path is the edge,
         # odd on both sides
-        g1t, g2t, case = build_reduced_sides(g, sep, (True, False, True, False))
+        case, [(g1t, _), (g2t, _)] = reduce_separation(g, sep, (True, False, True, False))
         assert case == "separation-even-neither-side"
         assert g1t.n == 3 and g2t.n == 3
 
     def test_even_both_sides_unchanged(self):
         g = cycle_graph(6)
         sep = Separation(frozenset({0, 1, 2, 3}), frozenset({3, 4, 5, 0}))
-        g1t, g2t, case = build_reduced_sides(g, sep, (False, True, False, True))
+        case, [(g1t, _), (g2t, _)] = reduce_separation(g, sep, (False, True, False, True))
         assert case == "separation-odd-neither-side"
         assert (g1t.n, g2t.n) == (4, 4)
 
-    def test_mixed_case_raises(self):
+    def test_mixed_case_builds_no_sides(self):
         g = cycle_graph(6)
         sep = Separation(frozenset({0, 1, 2, 3}), frozenset({3, 4, 5, 0}))
-        with pytest.raises(GraphInputError):
-            build_reduced_sides(g, sep, (True, True, True, True))
+        # the caller rejects the graph instead of reducing
+        assert reduce_separation(g, sep, (True, True, True, True)) == (
+            "mixed-parities-both-sides",
+            None,
+        )
 
     def test_odd_one_side_children_are_t_perfect(self):
         # splitting a five-cycle at a two-cut: one side odd-only, the
@@ -145,9 +157,9 @@ class TestReducedSides:
         g = cycle_graph(5)
         sep = Separation(frozenset({0, 1, 2}), frozenset({2, 3, 4, 0}))
         # side1 = path 0-1-2 (even only), side2 = path 2-3-4-0 (odd only)
-        g1t, g2t, case = build_reduced_sides(g, sep, (False, True, True, False))
+        case, children = reduce_separation(g, sep, (False, True, True, False))
         assert case in ("separation-odd-one-side", "separation-even-one-side")
-        for child in (g1t, g2t):
+        for child, _ in children:
             assert is_t_perfect_bruteforce(child)
 
 

@@ -328,7 +328,7 @@ class TestSmallFlipCut:
         kinds = Counter()
         for h, view in two_odd_edge_instances(rnd, 2000):
             expected = _all_even_edges_small_cut(h, view)
-            assert small_flip_cut(h, view) == expected, (h.edges, view.bipartition.labels)
+            assert small_flip_cut(h, view) == expected, (h.edges, view.labels)
             kinds[len(expected.edges) if expected else None] += 1
         # {o1, o2} alone, {o1, o2} plus a bridge, and no small cut
         assert kinds[2] >= 100 and kinds[3] >= 500 and kinds[None] >= 500, kinds
@@ -399,7 +399,7 @@ class TestOneOddEdge:
         kinds = Counter()
         while sum(kinds.values()) < 6000:
             g = random_subcubic_graph(rnd, rnd.randint(4, 14))
-            labels = spanning_tree_view(g).bipartition.labels
+            labels = spanning_tree_view(g).labels
             odd = [e for e in g.edges if labels[e[0]] == labels[e[1]]]
             if not odd:
                 continue
