@@ -27,7 +27,6 @@ from .oracle import (
     has_skewed_theta_bruteforce,
     is_t_perfect_bruteforce,
 )
-from .parity import ParityConfig
 from .recognizer import is_t_perfect
 from .theta import has_skewed_theta
 
@@ -68,14 +67,17 @@ class Report:
 def _read_graphs(path: str, fmt: str | None) -> list[tuple[str, GraphDocument]]:
     """The named documents of an input file, one per graph.  They are
     parsed one at a time by `_each_graph`, so a malformed graph6 line
-    costs only its own report."""
-    if path == "-":
-        text = sys.stdin.read()
-        name = "<stdin>"
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        name = path
+    costs only its own report.  A file that cannot be read as UTF-8 text
+    (missing, a directory, undecodable) is a GraphInputError."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphInputError(f"cannot read {path!r}: {exc}") from None
+    name = "<stdin>" if path == "-" else path
     if fmt is None:
         if path.endswith(".g6"):
             fmt = "graph6"
@@ -95,10 +97,6 @@ def _read_graphs(path: str, fmt: str | None) -> list[tuple[str, GraphDocument]]:
             for i, ln in enumerate(lines)
         ]
     return [(name, GraphDocument("edge-list", text))]
-
-
-def _parity_config(args) -> ParityConfig:
-    return ParityConfig(max_exhaustive_n=args.max_exhaustive_n)
 
 
 def _emit(report: Report, out) -> None:
@@ -139,10 +137,8 @@ def _each_graph(command: str, args, out, decide, error_fields=None) -> int:
 
 
 def _cmd_recognize(args, out) -> int:
-    config = _parity_config(args)
-
     def decide(g):
-        decision = is_t_perfect(g, config)
+        decision = is_t_perfect(g, args.max_exhaustive_n)
         result = {"verdict": decision.verdict, "stats": decision.stats}
         if args.trace:
             result["certificate"] = [e.to_json() for e in decision.certificate]
@@ -214,7 +210,6 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_corpus_check(args, out) -> int:
-    config = _parity_config(args)
     graphs = generate_corpus(
         "random-clawfree-via-linegraph", args.samples, args.seed,
         n_min=4, n_max=args.max_n,
@@ -223,7 +218,7 @@ def _cmd_corpus_check(args, out) -> int:
     records = []
     for i, g in enumerate(graphs):
         t0 = time.perf_counter()
-        mine = is_t_perfect(g, config).t_perfect
+        mine = is_t_perfect(g, args.max_exhaustive_n).t_perfect
         truth = is_t_perfect_bruteforce(g)
         records.append((i, g, mine, truth))
         if mine == truth:
@@ -254,19 +249,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tperfect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_input(p):
         p.add_argument("file", help="input file (.g6/.el or - for stdin)")
         p.add_argument("--format", choices=("graph6", "edge-list"))
-        p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("recognize", help="decide t-perfection")
-    add_common(p)
+    add_input(p)
+    p.add_argument("--trace", action="store_true")
     p.add_argument("--max-exhaustive-n", type=int, default=20)
-    add_common(sub.add_parser("skewed-theta", help="skewed theta in a subcubic graph"))
-    add_common(sub.add_parser("line-root", help="reconstruct a line-graph root"))
+    p = sub.add_parser("skewed-theta", help="skewed theta in a subcubic graph")
+    add_input(p)
+    p.add_argument("--trace", action="store_true")
+    add_input(sub.add_parser("line-root", help="reconstruct a line-graph root"))
     p = sub.add_parser("oracle", help="brute-force ground truth")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("graph6", "edge-list"))
+    add_input(p)
     p.add_argument("--question", choices=("tperfect", "theta", "prism"),
                    required=True)
     p = sub.add_parser("gen", help="emit a seeded corpus as graph6 lines")
@@ -304,7 +300,7 @@ def run_cli(argv, out=None) -> int:
         return USAGE_ERROR
     try:
         return _HANDLERS[args.command](args, out)
-    except (GraphInputError, FileNotFoundError, SizeGuardError) as exc:
+    except (GraphInputError, SizeGuardError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=out)
         return INPUT_ERROR
 

@@ -24,7 +24,6 @@ _SIX_BITS = {chr(v + 63): format(v, "06b") for v in range(64)}
 class GraphDocument:
     format: str
     payload: str
-    name: str | None = None
 
     def __post_init__(self):
         if self.format not in FORMATS:

@@ -10,6 +10,7 @@ subgraph enumeration.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .core.graph import Graph, edge_key
@@ -46,18 +47,14 @@ def t_contract(g: Graph, v: int) -> Graph | None:
     return Graph(len(keep) + 1, sorted(es))
 
 
-_FORBIDDEN: list[tuple[Graph, tuple]] | None = None
+@cache
+def _forbidden_graphs() -> tuple[tuple[Graph, tuple], ...]:
+    """The four forbidden t-minors with their canonical forms."""
+    gs = (complete_graph(4), wheel_5(), squared_cycle(7), squared_cycle(10))
+    return tuple((h, canonical_form(h)) for h in gs)
 
 
-def _forbidden_graphs() -> list[tuple[Graph, tuple]]:
-    global _FORBIDDEN
-    if _FORBIDDEN is None:
-        gs = [complete_graph(4), wheel_5(), squared_cycle(7), squared_cycle(10)]
-        _FORBIDDEN = [(h, canonical_form(h)) for h in gs]
-    return _FORBIDDEN
-
-
-def _reaches_target(g: Graph, targets: list[tuple[Graph, tuple]]) -> bool:
+def _reaches_target(g: Graph, targets: tuple[tuple[Graph, tuple], ...]) -> bool:
     """Breadth-first closure under vertex deletions and t-contractions,
     deduplicated by canonical form; True iff a target graph is reached.
 
@@ -124,23 +121,23 @@ def is_t_perfect_bruteforce(g: Graph, size_guard: int = T_PERFECT_SIZE_GUARD) ->
     return not _reaches_target(g, _forbidden_graphs())
 
 
-def has_k4_t_minor(g: Graph, size_guard: int = T_PERFECT_SIZE_GUARD) -> bool:
+def has_k4_t_minor(g: Graph) -> bool:
     """Is K4 reachable in the t-minor closure?  Test-side cross-check
     companion to the skewed-prism enumeration."""
-    if g.n > size_guard:
-        raise SizeGuardError(f"t-minor closure guard: {g.n} > {size_guard}")
+    if g.n > T_PERFECT_SIZE_GUARD:
+        raise SizeGuardError(f"t-minor closure guard: {g.n} > {T_PERFECT_SIZE_GUARD}")
     return _reaches_target(g, _forbidden_graphs()[:1])
 
 
-def has_skewed_theta_bruteforce(g: Graph, size_guard: int = THETA_SIZE_GUARD) -> bool:
+def has_skewed_theta_bruteforce(g: Graph) -> bool:
     """Enumerate branch-vertex pairs and triples of pairwise edge-disjoint
     connecting paths; True iff some triple has lengths odd, odd, even.
 
     Works on any graph (paths may share interior vertices when the graph
     is not subcubic, which edge-disjointness permits).
     """
-    if g.n > size_guard:
-        raise SizeGuardError(f"skewed-theta enumeration guard: {g.n} > {size_guard}")
+    if g.n > THETA_SIZE_GUARD:
+        raise SizeGuardError(f"skewed-theta enumeration guard: {g.n} > {THETA_SIZE_GUARD}")
     if g.is_bipartite():
         return False  # a skewed theta always contains an odd cycle
     eindex = {e: i for i, e in enumerate(g.edges)}
@@ -212,7 +209,7 @@ def _simple_paths_with_parity(
     yield from rec(a)
 
 
-def has_skewed_prism_bruteforce(g: Graph, size_guard: int = PRISM_SIZE_GUARD) -> bool:
+def has_skewed_prism_bruteforce(g: Graph) -> bool:
     """Exhaustive search for two triangles joined by three vertex-disjoint
     induced paths, two of even length (possibly zero) and one odd, forming
     an induced subgraph with no extra edges.
@@ -220,8 +217,8 @@ def has_skewed_prism_bruteforce(g: Graph, size_guard: int = PRISM_SIZE_GUARD) ->
     Zero-length even paths mean shared triangle vertices, so K4 itself
     counts (two triangles sharing an edge plus one odd edge).
     """
-    if g.n > size_guard:
-        raise SizeGuardError(f"skewed-prism enumeration guard: {g.n} > {size_guard}")
+    if g.n > PRISM_SIZE_GUARD:
+        raise SizeGuardError(f"skewed-prism enumeration guard: {g.n} > {PRISM_SIZE_GUARD}")
     triangles = [
         trio
         for trio in combinations(range(g.n), 3)

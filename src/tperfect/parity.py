@@ -2,7 +2,7 @@
 
 The recognizer asks whether a claw-free graph contains an induced u-v
 path of prescribed parity: an exhaustive search, correct on every graph
-and guarded by the configurable cap `ParityConfig.max_exhaustive_n`.
+and guarded by the cap `max_exhaustive_n` on the graph's vertex count.
 
 The 2-linkage search (do two terminal pairs admit disjoint linking
 paths?) and the disjoint-odd-cycle test built on it are exhaustive
@@ -45,19 +45,11 @@ class LinkageQuery:
             raise GraphInputError("linkage terminal pairs must be disjoint")
 
 
-@dataclass
-class ParityConfig:
-    """Size guard for the exhaustive induced-path search."""
-
-    max_exhaustive_n: int = 20
-
-
-DEFAULT_CONFIG = ParityConfig()
 MAX_LINKAGE_N = 64
 
 
 def exists_induced_path_with_parity(
-    g: Graph, query: ParityQuery, config: ParityConfig = DEFAULT_CONFIG
+    g: Graph, query: ParityQuery, max_exhaustive_n: int = 20
 ) -> bool:
     """Is there an induced u-v path whose length has the queried parity?
 
@@ -65,10 +57,9 @@ def exists_induced_path_with_parity(
     adjacent to the interior) and pruning branches from which v is
     unreachable.
     """
-    if g.n > config.max_exhaustive_n:
+    if g.n > max_exhaustive_n:
         raise SizeGuardError(
-            f"induced-path search on {g.n} vertices exceeds cap "
-            f"{config.max_exhaustive_n}"
+            f"induced-path search on {g.n} vertices exceeds cap {max_exhaustive_n}"
         )
     u, v, want = query.u, query.v, 1 if query.parity == ODD else 0
 

@@ -38,7 +38,7 @@ from .core.named import (
 )
 from .errors import GraphInputError, NotClawFreeError, check
 from .linegraph import RootMapping, recognize_line_graph
-from .parity import DEFAULT_CONFIG, ParityConfig, ParityQuery, exists_induced_path_with_parity
+from .parity import ParityQuery, exists_induced_path_with_parity
 from .theta import has_skewed_theta
 
 T_PERFECT = "t-perfect"
@@ -111,10 +111,11 @@ def _exceptional_forms() -> dict[tuple[int, int], tuple[str, tuple, bool]]:
 
 
 class _Run:
-    """Mutable state for one recognition run: config, counters, trace."""
+    """Mutable state for one recognition run: the parity-search cap,
+    counters, trace."""
 
-    def __init__(self, config: ParityConfig):
-        self.config = config
+    def __init__(self, max_exhaustive_n: int = 20):
+        self.max_exhaustive_n = max_exhaustive_n
         self.trace: list[TraceEntry] = []
         self.decide_calls = 0
         self.parity_queries = 0
@@ -126,16 +127,19 @@ class _Run:
 
     def parity(self, g: Graph, u: int, v: int, parity: str) -> bool:
         self.parity_queries += 1
-        return exists_induced_path_with_parity(g, ParityQuery(u, v, parity), self.config)
+        return exists_induced_path_with_parity(
+            g, ParityQuery(u, v, parity), self.max_exhaustive_n
+        )
 
 
-def is_t_perfect(g: Graph, config: ParityConfig = DEFAULT_CONFIG) -> Decision:
+def is_t_perfect(g: Graph, max_exhaustive_n: int = 20) -> Decision:
     """Decide t-perfection of a claw-free graph.
 
     Raises NotClawFreeError (with witness) on non-claw-free input.  Line
     graphs are claw-free, so every input is tried as one first and
     scanned for a claw only when it has no root.  Disconnected inputs are
-    decided per component and conjoined.
+    decided per component and conjoined.  `max_exhaustive_n` caps the
+    vertex count of each exhaustive induced-path search.
     """
     # recognize_line_graph searches components only when it finds no
     # root, and raises on a disconnected input; comps stays None for a
@@ -149,7 +153,7 @@ def is_t_perfect(g: Graph, config: ParityConfig = DEFAULT_CONFIG) -> Decision:
         witness = find_claw(g)
         if witness is not None:
             raise NotClawFreeError(witness.centre, witness.leaves)
-    run = _Run(config)
+    run = _Run(max_exhaustive_n)
     origins = tuple(frozenset([v]) for v in range(g.n))
     # a connected input is decided in place, with its root
     verdict = _decide(run, g, origins, root) if comps is None else True

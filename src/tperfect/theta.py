@@ -13,15 +13,16 @@ phase two decides directly; since a cycle is odd exactly when it carries
 an odd number of odd-class edges, every skewed theta contains one of them.
 Two are flipped down to one when the O(m) `small_flip_cut` finds a cut
 of at most three edges through both; otherwise a minimum cut between
-their linking paths either certifies a theta or is split into two
-smaller two-edge instances, pairing the cut edges by one 2-path flow per
-side and reading path parities from the labels (the lemma in
-`_two_odd_block`).  With one, e, a skewed theta exists iff two degree-3
-vertices on opposite sides of e's block are joined by three edge-disjoint
-paths (the lemma in `one_odd_edge`), decided by at most one minimum cut
-per degree-3 vertex in O(n * m).  The exhaustive 2-linkage and
-disjoint-odd-cycle searches of `parity` are references for the tests, not
-decision steps.
+their linking paths either certifies a theta (the lemma in
+`_linking_paths_cut`) or is split into two smaller two-edge instances,
+pairing the cut edges by one 2-path flow per side and reading path
+parities from the labels (the lemma in `_two_odd_block`).  With one, e, a
+skewed theta exists iff two degree-3 vertices on opposite sides of e's
+block are joined by three edge-disjoint paths (the lemma in
+`_one_odd_block`), decided by at most one minimum cut per degree-3
+vertex in O(n * m).  `decide_few_odd_edges` is phase two's one public
+entry.  The exhaustive 2-linkage and disjoint-odd-cycle searches of
+`parity` are references for the tests, not decision steps.
 
 Verdicts carry a trace of fired rules; explicit theta subgraphs are not
 extracted (the brute-force oracle provides witnesses at desk scale).
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from .core.connectivity import (
     bfs_spanning_tree,
     blocks,
-    is_two_connected,
     spanning_tree_fundamental_cycle,
 )
 from .core.flow import (
@@ -65,16 +65,19 @@ NO_THETA = "no-skewed-theta"
 @dataclass(frozen=True)
 class OddEdgeView:
     """A bipartition, as one side label (0 or 1) per vertex, together with
-    the derived odd/even edge split.
-
-    An edge is odd-class when its endpoints share a side; `even_graph` is
-    the spanning subgraph of the even-class edges.
+    the derived odd-class edges: those whose endpoints share a side.
     """
 
     graph: Graph
     labels: tuple[int, ...]
     odd_edges: tuple[Edge, ...]
-    even_graph: Graph
+
+    def even_graph(self) -> Graph:
+        """The spanning subgraph of the even-class edges, built per call."""
+        labels = self.labels
+        return Graph._trusted(
+            self.graph.n, [e for e in self.graph.edges if labels[e[0]] != labels[e[1]]]
+        )
 
     def is_odd(self, e: Edge) -> bool:
         u, v = e
@@ -89,8 +92,7 @@ def make_view(g: Graph, labels) -> OddEdgeView:
     if len(labels) != g.n:
         raise GraphInputError("bipartition must label every vertex")
     odd = tuple(e for e in g.edges if labels[e[0]] == labels[e[1]])
-    even = Graph._trusted(g.n, [e for e in g.edges if labels[e[0]] != labels[e[1]]])
-    return OddEdgeView(g, labels, odd, even)
+    return OddEdgeView(g, labels, odd)
 
 
 def spanning_tree_view(g: Graph) -> OddEdgeView:
@@ -111,13 +113,6 @@ def spanning_tree_view(g: Graph) -> OddEdgeView:
                     labels[y] = labels[x] ^ 1
                     queue.append(y)
     return make_view(g, labels)
-
-
-def view_for_subgraph(view: OddEdgeView, sub: Graph, old_to_new: dict[int, int]) -> OddEdgeView:
-    labels = [0] * sub.n
-    for old, new in old_to_new.items():
-        labels[new] = view.labels[old]
-    return make_view(sub, labels)
 
 
 @dataclass(frozen=True)
@@ -210,11 +205,12 @@ def _prune_to_required(vertices: set[int], edges: set[Edge], required: set[int])
 
 
 def _tree_pair_cut(
-    h: Graph, view: OddEdgeView, side1, side2, odds: tuple[Edge, Edge, Edge]
+    h: Graph, gp: Graph, view: OddEdgeView, side1, side2, odds: tuple[Edge, Edge, Edge]
 ):
     """Steps shared by the common-edge and crossing cases: prune the two
-    trees to minimality, then a minimum even-edge cut between them either
-    certifies a theta (three even connections) or yields the flip cut."""
+    trees to minimality, then a minimum cut between them in the even
+    graph gp either certifies a theta (three even connections) or yields
+    the flip cut."""
     ends = {x for e in odds for x in e}
     t1v, t1e = _prune_to_required(set(side1[0]), set(side1[1]), ends)
     t2v, t2e = _prune_to_required(set(side2[0]), set(side2[1]), ends)
@@ -223,7 +219,7 @@ def _tree_pair_cut(
         check(len(es) == len(vs) - 1, "triad sides must be trees")
         for e in odds:
             check(set(e) & vs, "each triad tree needs an endpoint of every odd edge")
-    cut = min_edge_cut_between(view.even_graph, t1v, t2v)
+    cut = min_edge_cut_between(gp, t1v, t2v)
     if len(cut.edges) >= 3:
         return ThetaFound("three-even-connections-between-triad-trees")
     full = exact_cut(h, cut.side_a)
@@ -252,7 +248,7 @@ def triads(
     if not h.is_subcubic():
         raise GraphInputError("triads expects a subcubic graph")
     o1, o2, o3 = odds
-    gp = view.even_graph
+    gp = view.even_graph()
 
     comps = gp.connected_components()
     if len(comps) > 1:
@@ -281,7 +277,7 @@ def triads(
             cycle_edges[o1] | cycle_edges[o2] | cycle_edges[o3]
         ) - set(odds)
         side1, side2 = _split_tree_at_edge(h.n, union_tree, e)
-        return _tree_pair_cut(h, view, side1, side2, odds)
+        return _tree_pair_cut(h, gp, view, side1, side2, odds)
 
     # the unique cycle through all three odd edges: exactly the edges lying
     # in a single fundamental cycle
@@ -333,7 +329,7 @@ def triads(
     union = pieces | set(path_edges(p)) | set(path_edges(q))
     comps = _edge_components(h.n, union)
     check(len(comps) == 2, "crossing split must leave two components")
-    return _tree_pair_cut(h, view, comps[0], comps[1], odds)
+    return _tree_pair_cut(h, gp, view, comps[0], comps[1], odds)
 
 
 def _assemble_cycle(ring: set[Edge]) -> list[int]:
@@ -444,8 +440,8 @@ def decide_few_odd_edges(h: Graph, view: OddEdgeView) -> ThetaVerdict:
             continue
         sub, sview = h, view
         if len(blk) < h.n:
-            sub, old_to_new = h.induced(blk)
-            sview = view_for_subgraph(view, sub, old_to_new)
+            sub, old_to_new = h.induced(blk)  # ordered by new vertex
+            sview = make_view(sub, [view.labels[old] for old in old_to_new])
         verdict = _few_odd_block(sub, sview)
         trace.extend(verdict.trace)
         if verdict.contains:
@@ -460,26 +456,26 @@ def _few_odd_block(h: Graph, view: OddEdgeView) -> ThetaVerdict:
 
     Two odd-class edges o1, o2 first meet the O(m) `small_flip_cut`: its
     cut C is flipped and the block goes to the one-odd-edge test.  Only
-    without one do `two_odd_cut`'s flows run.  The order changes no
-    outcome.  Both odd edges cross C, so each of `two_odd_cut`'s linking
-    paths p1, p2 joins an end of o1 to an end of o2.  Neither path uses
+    without one do `_linking_paths_cut`'s flows run.  The order changes no
+    outcome.  Both odd edges cross C, so each of the linking paths p1, p2
+    joins an end of o1 to an end of o2.  Neither path uses
     o1 or o2 (the terminals are sealed), so each crosses C at most once,
     through its third edge.  If p1 crossed, it would join ends on
     opposite sides, and so would p2, which would need the same edge,
     but the paths are disjoint.  So p1 and p2 lie on opposite sides of
     C, their minimum cut has at most |C| <= 3 < 5 edges, and
-    `two_odd_cut` would return a cut rather than a theta, after which
-    `_two_odd_block` would flip C and log the same trace.
+    `_linking_paths_cut` would return a cut rather than a theta, after
+    which `_two_odd_block` would flip C and log the same trace.
     """
     if not view.odd_edges:
         return ThetaVerdict(False, ())
     if len(view.odd_edges) == 1:
-        return _one_odd_block(h, view, range(h.n))
+        return _one_odd_block(h, view)
     cand = small_flip_cut(h, view)
     if cand is not None:
         flipped = flip(view, cand)
         check(len(flipped.odd_edges) <= 1, "small-cut flip leaves at most one odd edge")
-        verdict = _one_odd_block(h, flipped, range(h.n))
+        verdict = _one_odd_block(h, flipped)
         flipped_on = ("flip-on-small-cut", {"cut": len(cand.edges)})
         return ThetaVerdict(verdict.contains, (flipped_on,) + verdict.trace)
     res = _linking_paths_cut(h, view)
@@ -488,8 +484,9 @@ def _few_odd_block(h: Graph, view: OddEdgeView) -> ThetaVerdict:
     return _two_odd_block(h, view, res)
 
 
-def one_odd_edge(h: Graph, view: OddEdgeView) -> ThetaVerdict:
-    """Decide skewed-theta presence with at most one odd-class edge e.
+def _one_odd_block(g: Graph, view: OddEdgeView) -> ThetaVerdict:
+    """Decide skewed-theta presence in g, the block of the one odd-class
+    edge e, or in a block with no odd-class edge.
 
     Lemma.  Let B be a 2-connected subcubic graph whose bipartition has
     exactly one odd-class edge e.  B has a skewed theta iff two degree-3
@@ -517,23 +514,8 @@ def one_odd_edge(h: Graph, view: OddEdgeView) -> ThetaVerdict:
     small cut adds a class, so at most one flow per degree-3 vertex, of at
     most three augmenting paths, runs: O(n * m) in all, and no flow when
     the lemma already answers no, with every degree-3 vertex on one side.
+    The pair is reported in g's vertices.
     """
-    if len(view.odd_edges) > 1:
-        raise GraphInputError("expected at most one odd-class edge")
-    if view.odd_edges:
-        x, y = view.odd_edges[0]
-        blk = sorted(next(b for b in blocks(h).blocks if x in b and y in b))
-        if len(blk) < h.n:
-            g, old_to_new = h.induced(blk)  # vertex i of g is blk[i] of h
-            verdict = _one_odd_block(g, view_for_subgraph(view, g, old_to_new), blk)
-            restrict = ("restrict-to-odd-block", {"n": g.n})
-            return ThetaVerdict(verdict.contains, (restrict,) + verdict.trace)
-    return _one_odd_block(h, view, range(h.n))
-
-
-def _one_odd_block(g: Graph, view: OddEdgeView, names) -> ThetaVerdict:
-    """`one_odd_edge` once g is the block of the odd-class edge (or the
-    view has none); names[v] is v's vertex in the caller's graph."""
     if not view.odd_edges:
         return ThetaVerdict(False, (("no-odd-edge", {"n": g.n}),))
     trace: list[tuple[str, dict]] = []
@@ -543,7 +525,7 @@ def _one_odd_block(g: Graph, view: OddEdgeView, names) -> ThetaVerdict:
         return ThetaVerdict(False, tuple(trace))
     pair = _opposite_side_branch_pair(g, view.labels, cubic)
     if pair is not None:
-        trace.append(("opposite-side-branch-pair", {"pair": [names[v] for v in pair]}))
+        trace.append(("opposite-side-branch-pair", {"pair": list(pair)}))
         return ThetaVerdict(True, tuple(trace))
     trace.append(("no-opposite-side-branch-pair", {"n": g.n, "cubic": len(cubic)}))
     return ThetaVerdict(False, tuple(trace))
@@ -551,7 +533,7 @@ def _one_odd_block(g: Graph, view: OddEdgeView, names) -> ThetaVerdict:
 
 def _opposite_side_branch_pair(g: Graph, labels, cubic: list[int]) -> tuple[int, int] | None:
     """Two opposite-side vertices of `cubic` joined by three edge-disjoint
-    paths, or None (see `one_odd_edge`)."""
+    paths, or None (see `_one_odd_block`)."""
     classes = [cubic]
     while classes:
         members = classes.pop()
@@ -574,28 +556,16 @@ def _opposite_side_branch_pair(g: Graph, labels, cubic: list[int]) -> tuple[int,
     return None
 
 
-def two_odd_cut(h: Graph, view: OddEdgeView) -> ThetaFound | EdgeCut:
-    """With exactly two odd-class edges in a 2-connected subcubic graph,
-    either certify a theta or return a minimal exact cut containing both
-    odd edges and at most two others.
+def _linking_paths_cut(h: Graph, view: OddEdgeView) -> ThetaFound | EdgeCut:
+    """With exactly two odd-class edges o1, o2 in a 2-connected subcubic
+    h, either certify a theta or return a minimal exact cut containing
+    both odd edges and at most two others: link o1 and o2 by disjoint
+    paths p1, p2 and take a minimum edge cut between them.
 
     Five edge-disjoint connections between the two linking paths force
     three pairwise-crossing disjoint connections, two of which attach to
     the first path in equal classes and close a skewed theta.
-
-    Raises GraphInputError unless h is 2-connected: only then do the
-    linking paths exist.
     """
-    if len(view.odd_edges) != 2:
-        raise GraphInputError("expected exactly two odd-class edges")
-    if not is_two_connected(h):
-        raise GraphInputError("two_odd_cut expects a 2-connected graph")
-    return _linking_paths_cut(h, view)
-
-
-def _linking_paths_cut(h: Graph, view: OddEdgeView) -> ThetaFound | EdgeCut:
-    """`two_odd_cut` on a block: link the odd edges o1, o2 by disjoint
-    paths p1, p2 and take a minimum edge cut between them."""
     o1, o2 = view.odd_edges
     shared = set(o1) & set(o2)
     if shared:
@@ -619,10 +589,10 @@ def _linking_paths_cut(h: Graph, view: OddEdgeView) -> ThetaFound | EdgeCut:
 def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
     """Decide skewed-theta presence in a 2-connected h with exactly two
     odd-class edges o1, o2 and no small flip cut, given the four-edge
-    exact cut f through both that `two_odd_cut` returned: probe one-edge
-    removals, then pair the cut edges across each side of f and split
-    along it into two strictly smaller two-odd instances whose
-    replacement paths preserve parity.
+    exact cut f through both that `_linking_paths_cut` returned: probe
+    one-edge removals through `decide_few_odd_edges`, then pair the cut
+    edges across each side of f and split along it into two strictly
+    smaller two-odd instances whose replacement paths preserve parity.
 
     Lemma.  Let f = {o1, o2, e1, e2} with sides C1, C2.  Every edge inside
     a side is even-class, so a side path from s to t is odd iff
@@ -661,8 +631,7 @@ def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
     # single-edge-removal probes: afterwards every theta uses all of f
     for o_probe in (o1, o2):
         probe = h.without_edge(*o_probe)
-        pview = make_view(probe, view.labels)
-        verdict = one_odd_edge(probe, pview)
+        verdict = decide_few_odd_edges(probe, make_view(probe, view.labels))
         trace.append(("probe-without-odd-edge", {"edge": list(o_probe)}))
         trace.extend(verdict.trace)
         if verdict.contains:
@@ -673,7 +642,7 @@ def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
         pview = make_view(probe, view.labels)
         flipped = flip(pview, cand)
         check(len(flipped.odd_edges) == 1, "probe flip leaves one odd edge")
-        verdict = one_odd_edge(probe, flipped)
+        verdict = decide_few_odd_edges(probe, flipped)
         trace.append(("probe-without-even-edge", {"edge": list(e_probe)}))
         trace.extend(verdict.trace)
         if verdict.contains:

@@ -77,6 +77,27 @@ class TestExitCodes:
         code, _ = run(["recognize", "/nonexistent/path.g6"])
         assert code == 2
 
+    def test_directory_is_an_input_error(self, tmp_path):
+        code, text = run(["recognize", str(tmp_path), "--format", "graph6"])
+        assert code == 2
+        (rec,) = [json.loads(ln) for ln in text.splitlines()]
+        assert rec["error"].startswith(f"cannot read {str(tmp_path)!r}")
+
+    def test_non_utf8_file_is_an_input_error(self, tmp_path):
+        p = tmp_path / "latin1.g6"
+        p.write_bytes(b"Bw\n\xe9\n")
+        code, text = run(["recognize", str(p)])
+        assert code == 2
+        (rec,) = [json.loads(ln) for ln in text.splitlines()]
+        assert rec["error"].startswith(f"cannot read {str(p)!r}")
+        assert "utf-8" in rec["error"]
+
+    def test_line_root_takes_no_trace_option(self, files):
+        code, text = run(["line-root", files["oct"], "--trace"])
+        assert code == 64 and text == ""
+        code, text = run(["line-root", files["oct"]])
+        assert code == 0 and reports(text)[0]["config"] == {"format": None}
+
     def test_skewed_theta_polarity(self, files):
         code, text = run(["skewed-theta", files["theta"]])
         assert code == 1

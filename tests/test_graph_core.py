@@ -80,7 +80,8 @@ class TestTrustedBuilds:
             g = random_graph(rnd, n, rnd.uniform(0.1, 0.8))
             assert_matches_validated(g)
             assert_matches_validated(g.induced(rnd.sample(range(n), rnd.randint(0, n)))[0])
-            assert_matches_validated(make_view(g, [rnd.randint(0, 1) for _ in range(n)]).even_graph)
+            view = make_view(g, [rnd.randint(0, 1) for _ in range(n)])
+            assert_matches_validated(view.even_graph())
             if g.m:
                 assert_matches_validated(g.without_edge(*rnd.choice(g.edges)))
                 assert_matches_validated(g.without_edges(rnd.sample(g.edges, rnd.randint(0, g.m))))

@@ -1065,7 +1065,7 @@ class TestFlowKernel:
                 continue
             small += 1
             cuts.clear()
-            one_odd = theta._one_odd_block(h, theta.flip(view, cand), range(h.n))
+            one_odd = theta._one_odd_block(h, theta.flip(view, cand))
             expected, cuts[:] = list(cuts), []
             verdict = decide_few_odd_edges(h, view)
             assert cuts == expected, (h.edges, view.labels)

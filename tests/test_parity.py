@@ -7,7 +7,6 @@ from tperfect.core import Graph, complete_graph, cycle_graph, prism_graph, theta
 from tperfect.errors import GraphInputError, SizeGuardError
 from tperfect.parity import (
     LinkageQuery,
-    ParityConfig,
     ParityQuery,
     exists_induced_path_with_parity,
     find_two_disjoint_paths,
@@ -64,8 +63,7 @@ class TestInducedParity:
         g = cycle_graph(25)
         with pytest.raises(SizeGuardError):
             exists_induced_path_with_parity(g, ParityQuery(0, 5, "odd"))
-        cfg = ParityConfig(max_exhaustive_n=30)
-        assert exists_induced_path_with_parity(g, ParityQuery(0, 5, "odd"), cfg)
+        assert exists_induced_path_with_parity(g, ParityQuery(0, 5, "odd"), max_exhaustive_n=30)
 
     def test_equal_endpoints_rejected(self):
         with pytest.raises(GraphInputError):

@@ -19,7 +19,6 @@ from tperfect.corpus import generate_corpus
 from tperfect.errors import NotClawFreeError
 from tperfect.linegraph import line_graph, recognize_line_graph
 from tperfect.oracle import is_t_perfect_bruteforce
-from tperfect.parity import DEFAULT_CONFIG
 from tperfect.recognizer import (
     Decision,
     _decide,
@@ -192,7 +191,7 @@ def claw_first_decision(g):
     witness = find_claw(g)
     if witness is not None:
         raise NotClawFreeError(witness.centre, witness.leaves)
-    run = _Run(DEFAULT_CONFIG)
+    run = _Run()
     origins = tuple(frozenset([v]) for v in range(g.n))
     verdict = True
     for comp in g.connected_components():

@@ -25,11 +25,9 @@ from tperfect.theta import (
     flip,
     has_skewed_theta,
     make_view,
-    one_odd_edge,
     small_flip_cut,
     spanning_tree_view,
     triads,
-    two_odd_cut,
 )
 
 
@@ -56,6 +54,20 @@ class TestFlip:
         cut = exact_cut(g, {0, 3})
         with pytest.raises(GraphInputError):
             flip(view, cut)
+
+    def test_make_view_and_flip_build_no_graph(self, monkeypatch):
+        # only triads reads the even graph, so it is built on request
+        g = cycle_graph(4)
+        cut = exact_cut(g, {0, 1})
+        builds = []
+        fill = Graph._fill
+        monkeypatch.setattr(
+            Graph, "_fill", lambda h, n, edges: builds.append(n) or fill(h, n, edges)
+        )
+        view = make_view(g, (0,) * g.n)
+        flipped = flip(view, cut)
+        assert builds == []
+        assert flipped.even_graph().edges == ((0, 3), (1, 2)) and builds == [4]
 
     def test_parity_bookkeeping_on_sampled_cycles(self):
         # any cycle is odd exactly when it carries an odd number of
@@ -102,7 +114,7 @@ class TestSpanningTreeView:
                 continue
             h, _ = g.induced(blk)
             view = spanning_tree_view(h)
-            assert view.even_graph.is_connected()
+            assert view.even_graph().is_connected()
             assert len(view.odd_edges) <= h.m - h.n + 1
             assert (len(view.odd_edges) == 0) == h.is_bipartite()
             kinds[h.is_bipartite()] += 1
@@ -192,7 +204,7 @@ class TestTwoOdd:
         labels = [0, 0, 1, 0, 0, 1]
         view = make_view(g, labels)
         assert view.odd_edges == ((0, 1), (3, 4))
-        res = two_odd_cut(g, view)
+        res = theta._linking_paths_cut(g, view)
         assert not isinstance(res, ThetaFound)
         assert res.edges == frozenset({(0, 1), (3, 4)})
 
@@ -207,7 +219,7 @@ class TestTwoOdd:
         labels = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
         view = make_view(g, labels)
         assert view.odd_edges == ((0, 4), (3, 7))
-        res = two_odd_cut(g, view)
+        res = theta._linking_paths_cut(g, view)
         assert not isinstance(res, ThetaFound)
         assert len(res.edges) <= 4
         assert {(0, 4), (3, 7)} <= set(res.edges)
@@ -222,26 +234,14 @@ class TestTwoOdd:
         labels = [0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 0]
         view = make_view(g, labels)
         assert view.odd_edges == ((0, 5), (4, 9))
-        res = two_odd_cut(g, view)
-        assert isinstance(res, ThetaFound)
+        res = theta._linking_paths_cut(g, view)
+        assert res == ThetaFound("five-connections-between-linking-paths")
         assert has_skewed_theta_bruteforce(g)
-
-    def test_not_two_connected_is_an_input_error(self):
-        # a path with both edges odd (no far-end link avoiding the shared
-        # vertex), two 5-cycles joined by a bridge (no disjoint linking
-        # paths), and a 6-cycle with a pendant vertex (linking paths exist,
-        # but the vertex 0 cuts off the pendant one)
-        bridged = list(cycle_graph(5).edges) + [(u + 5, v + 5) for u, v in cycle_graph(5).edges]
-        instances = [
-            (Graph(3, [(0, 1), (1, 2)]), [0, 0, 0]),
-            (Graph(10, bridged + [(0, 5)]), [0, 1, 1, 0, 1, 1, 0, 0, 1, 0]),
-            (Graph(7, list(cycle_graph(6).edges) + [(0, 6)]), [0, 0, 1, 0, 0, 1, 1]),
-        ]
-        for g, labels in instances:
-            view = make_view(g, labels)
-            assert len(view.odd_edges) == 2
-            with pytest.raises(GraphInputError, match="2-connected"):
-                two_odd_cut(g, view)
+        # phase two's entry reaches the same rule: no small cut comes first
+        assert small_flip_cut(g, view) is None
+        assert decide_few_odd_edges(g, view).trace == (
+            ("five-connections-between-linking-paths", {"n": 13, "m": 16}),
+        )
 
     def test_separate_blocks_dispatch(self):
         # two triangles joined by a bridge, one odd edge in each triangle:
@@ -350,7 +350,7 @@ class TestOneOddEdge:
         labels = [0, 0, 1]
         view = make_view(g, labels)
         assert len(view.odd_edges) == 1
-        assert not one_odd_edge(g, view).contains
+        assert not decide_few_odd_edges(g, view).contains
 
     def test_two_connected_after_branch_removal(self):
         # derived: a square 1-2-4-3 with vertex 0 wired to 1, 2, 3; after
@@ -359,7 +359,7 @@ class TestOneOddEdge:
         labels = [0, 0, 1, 1, 0]
         view = make_view(g, labels)
         assert view.odd_edges == ((0, 1),)
-        verdict = one_odd_edge(g, view)
+        verdict = decide_few_odd_edges(g, view)
         assert verdict.contains
         assert has_skewed_theta_bruteforce(g)
         assert ("opposite-side-branch-pair", {"pair": [0, 2]}) in verdict.trace
@@ -377,7 +377,7 @@ class TestOneOddEdge:
                 found = view
                 break
         if found is not None:
-            assert one_odd_edge(g, found).contains == has_skewed_theta_bruteforce(g)
+            assert decide_few_odd_edges(g, found).contains == has_skewed_theta_bruteforce(g)
 
     def test_reduction_preserves_verdict(self):
         # suppressing a degree-2 odd pair keeps the answer; verified
@@ -386,7 +386,7 @@ class TestOneOddEdge:
         labels = [1, 0, 1, 0, 0, 0]
         view = make_view(g, labels)
         assert view.odd_edges == ((4, 5),)
-        verdict = one_odd_edge(g, view)
+        verdict = decide_few_odd_edges(g, view)
         assert verdict.contains == has_skewed_theta_bruteforce(g)
         assert any(rule == "one-sided-branch-vertices" for rule, _ in verdict.trace)
 
@@ -407,9 +407,10 @@ class TestOneOddEdge:
             h = Graph(g.n, [f for f in g.edges if f not in odd or f == e])
             view = make_view(h, labels)
             assert view.odd_edges == (e,)
-            verdict = one_odd_edge(h, view)
+            verdict = decide_few_odd_edges(h, view)
             assert verdict.contains == has_skewed_theta_bruteforce(h), h.edges
-            kinds[verdict.trace[-1][0]] += 1
+            # the odd edge's block logs one rule, the other blocks none
+            kinds[verdict.trace[0][0]] += 1
         assert kinds["opposite-side-branch-pair"] >= 1000
         assert kinds["one-sided-branch-vertices"] >= 1000
         # degree-3 vertices on both sides but in different classes: the
@@ -425,10 +426,11 @@ class TestOneOddEdge:
         view = make_view(g, labels)
         assert len(view.odd_edges) == 1
         assert g.n == 14 * k
-        verdict = one_odd_edge(g, view)
+        verdict = decide_few_odd_edges(g, view)
         assert not verdict.contains
         assert verdict.trace == (
             ("no-opposite-side-branch-pair", {"n": g.n, "cubic": 6 * k}),
+            ("no-remaining-odd-structure", {"n": g.n, "m": g.m}),
         )
 
 
@@ -495,11 +497,10 @@ class TestDispatcher:
             ("block", {"vertices": [0, 1, 2, 3, 4]}),
             ("opposite-side-branch-pair", {"pair": [0, 2]}),
         )
-        # the public forms still restrict to blocks themselves
+        # the public entry still restricts to blocks itself
         view = spanning_tree_view(g)
         assert decide_few_odd_edges(g, view).trace == verdict.trace[1:]
-        assert one_odd_edge(g, view).trace == verdict.trace[1:]
-        assert passes == [5, 5, 5]
+        assert passes == [5, 5]
 
 
 class TestEndToEnd:
