@@ -210,31 +210,39 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_corpus_check(args, out) -> int:
+    """Recognizer against oracle on each sample.  A sample that either
+    side refuses gets an error record like `_each_graph`'s, counts as
+    refused, and the sweep goes on; the exit code is the worst outcome."""
     graphs = generate_corpus(
         "random-clawfree-via-linegraph", args.samples, args.seed,
         n_min=4, n_max=args.max_n,
     )
-    agree = 0
-    records = []
+    counts = {"agree": 0, "disagree": 0, "refused": 0, "t-perfect": 0}
     for i, g in enumerate(graphs):
         t0 = time.perf_counter()
-        mine = is_t_perfect(g, args.max_exhaustive_n).t_perfect
-        truth = is_t_perfect_bruteforce(g)
-        records.append((i, g, mine, truth))
-        if mine == truth:
-            agree += 1
-        _emit(Report("corpus-check", f"sample[{i}]", g.n, g.m,
-                     {"graph6": graph_to_graph6(g),
-                      "recognizer": "t-perfect" if mine else "not-t-perfect",
-                      "oracle": "t-perfect" if truth else "not-t-perfect",
-                      "agree": mine == truth},
+        result = {"graph6": graph_to_graph6(g)}
+        try:
+            mine = is_t_perfect(g, args.max_exhaustive_n).t_perfect
+            truth = is_t_perfect_bruteforce(g)
+        except _GRAPH_ERRORS as exc:
+            result.update(_error_result(exc))
+            counts["refused"] += 1
+        else:
+            result.update({"recognizer": "t-perfect" if mine else "not-t-perfect",
+                           "oracle": "t-perfect" if truth else "not-t-perfect",
+                           "agree": mine == truth})
+            counts["agree" if mine == truth else "disagree"] += 1
+            counts["t-perfect"] += mine
+        _emit(Report("corpus-check", f"sample[{i}]", g.n, g.m, result,
                      _config_dict(args), (time.perf_counter() - t0) * 1000), out)
-    total = len(records)
-    t_perfect = sum(1 for _, _, m, _ in records if m)
-    print(f"# corpus-check samples={total} agree={agree} "
-          f"disagree={total - agree} t-perfect={t_perfect} "
-          f"not-t-perfect={total - t_perfect}", file=out)
-    return 0 if agree == total else 1
+    decided = counts["agree"] + counts["disagree"]
+    print(f"# corpus-check samples={len(graphs)} agree={counts['agree']} "
+          f"disagree={counts['disagree']} refused={counts['refused']} "
+          f"t-perfect={counts['t-perfect']} "
+          f"not-t-perfect={decided - counts['t-perfect']}", file=out)
+    if counts["refused"]:
+        return INPUT_ERROR
+    return 1 if counts["disagree"] else 0
 
 
 def _config_dict(args) -> dict:

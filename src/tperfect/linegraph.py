@@ -22,8 +22,8 @@ second cell, each cell is a frozenset, and a vertex's uncovered neighbours
 are its neighbourhood minus its cells.  No edge is covered twice, so all
 are covered exactly when sum C(|cell|, 2) == m.  A root needs every vertex
 in a cell, reached from the seed through adjacent vertices, so it proves G
-connected; connectivity is searched only to tell a non-line graph (None)
-from a disconnected input (GraphInputError).
+connected, and a disconnected graph gets None like any other graph without
+a root: no connectivity search is made.
 
 K3 is the classical ambiguous case (roots K3 and K1,3 both work); the
 candidate order tries the larger seed first, so the emitted root is K1,3.
@@ -137,11 +137,10 @@ def _root_from_seed(g: Graph, seed: tuple[int, ...]) -> RootMapping | None:
 
 
 def recognize_line_graph(g: Graph) -> RootMapping | None:
-    """Root reconstruction for a connected graph; None if not a line graph.
+    """Root reconstruction; None if g is not a connected line graph.
 
     The returned mapping always satisfies L(root) == g exactly (re-derived
     and checked before returning), so a non-None answer is self-certifying.
-    Raises GraphInputError on a disconnected graph.
     """
     if g.n == 1:
         return RootMapping(Graph(2, [(0, 1)]), {(0, 1): 0})
@@ -156,6 +155,4 @@ def recognize_line_graph(g: Graph) -> RootMapping | None:
             rm = _root_from_seed(g, cand)
             if rm is not None and rm.verify_against(g):
                 return rm
-    if not g.is_connected():
-        raise GraphInputError("recognize_line_graph expects a connected graph")
     return None

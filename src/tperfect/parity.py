@@ -1,7 +1,7 @@
 """Parity-flavored path oracles.
 
-The recognizer asks whether a claw-free graph contains an induced u-v
-path of prescribed parity: an exhaustive search, correct on every graph
+The recognizer asks which parities the induced u-v paths of a claw-free
+graph have: one exhaustive search answers both, correct on every graph
 and guarded by the cap `max_exhaustive_n` on the graph's vertex count.
 
 The 2-linkage search (do two terminal pairs admit disjoint linking
@@ -18,22 +18,6 @@ from dataclasses import dataclass
 from .core.graph import Graph, bfs_path
 from .errors import GraphInputError, SizeGuardError
 
-EVEN = "even"
-ODD = "odd"
-
-
-@dataclass(frozen=True)
-class ParityQuery:
-    u: int
-    v: int
-    parity: str
-
-    def __post_init__(self):
-        if self.u == self.v:
-            raise GraphInputError("parity query endpoints must differ")
-        if self.parity not in (EVEN, ODD):
-            raise GraphInputError(f"parity must be 'even' or 'odd', got {self.parity!r}")
-
 
 @dataclass(frozen=True)
 class LinkageQuery:
@@ -49,19 +33,21 @@ MAX_LINKAGE_N = 64
 
 
 def exists_induced_path_with_parity(
-    g: Graph, query: ParityQuery, max_exhaustive_n: int = 20
-) -> bool:
-    """Is there an induced u-v path whose length has the queried parity?
+    g: Graph, u: int, v: int, max_exhaustive_n: int = 20
+) -> tuple[bool, bool]:
+    """(odd, even): is there an induced u-v path of odd, of even length?
 
-    Enumerates induced paths depth-first, keeping a blocked set (vertices
-    adjacent to the interior) and pruning branches from which v is
-    unreachable.
+    One depth-first enumeration of the induced paths, keeping a blocked
+    set (vertices adjacent to the interior), pruning branches from which
+    v is unreachable, and stopping once both parities are seen.
     """
+    if u == v:
+        raise GraphInputError("parity query endpoints must differ")
     if g.n > max_exhaustive_n:
         raise SizeGuardError(
             f"induced-path search on {g.n} vertices exceeds cap {max_exhaustive_n}"
         )
-    u, v, want = query.u, query.v, 1 if query.parity == ODD else 0
+    found = [False, False]  # by path length mod 2
 
     def reachable(frontier: int, blocked: set[int]) -> bool:
         seen = {frontier}
@@ -77,13 +63,15 @@ def exists_induced_path_with_parity(
         return False
 
     def extend(last: int, length: int, blocked: set[int]) -> bool:
+        """True once both parities are seen."""
         for w in g.sorted_neighbors(last):
             if w in blocked:
                 continue
             if w == v:
                 # v must avoid the interior's neighborhoods too, which the
                 # blocked check just ensured
-                if (length + 1) % 2 == want:
+                found[(length + 1) % 2] = True
+                if all(found):
                     return True
                 continue
             new_blocked = blocked | {w} | g.neighbors(last)
@@ -93,7 +81,8 @@ def exists_induced_path_with_parity(
                 return True
         return False
 
-    return extend(u, 0, {u})
+    extend(u, 0, {u})
+    return found[1], found[0]
 
 
 def find_two_disjoint_paths(g: Graph, query: LinkageQuery) -> tuple[list[int], list[int]] | None:

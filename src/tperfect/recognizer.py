@@ -36,9 +36,9 @@ from .core.named import (
     squared_cycle_6_minus_edge,
     squared_cycle_minus_vertex,
 )
-from .errors import GraphInputError, NotClawFreeError, check
+from .errors import NotClawFreeError, check
 from .linegraph import RootMapping, recognize_line_graph
-from .parity import ParityQuery, exists_induced_path_with_parity
+from .parity import exists_induced_path_with_parity
 from .theta import has_skewed_theta
 
 T_PERFECT = "t-perfect"
@@ -125,11 +125,10 @@ class _Run:
         scope = tuple(sorted(tuple(sorted(origins[v])) for v in sorted(vertices)))
         self.trace.append(TraceEntry(rule, scope, detail or {}))
 
-    def parity(self, g: Graph, u: int, v: int, parity: str) -> bool:
+    def parity(self, g: Graph, u: int, v: int) -> tuple[bool, bool]:
+        """(odd, even) induced u-v paths in g, from one search."""
         self.parity_queries += 1
-        return exists_induced_path_with_parity(
-            g, ParityQuery(u, v, parity), self.max_exhaustive_n
-        )
+        return exists_induced_path_with_parity(g, u, v, self.max_exhaustive_n)
 
 
 def is_t_perfect(g: Graph, max_exhaustive_n: int = 20) -> Decision:
@@ -137,33 +136,20 @@ def is_t_perfect(g: Graph, max_exhaustive_n: int = 20) -> Decision:
 
     Raises NotClawFreeError (with witness) on non-claw-free input.  Line
     graphs are claw-free, so every input is tried as one first and
-    scanned for a claw only when it has no root.  Disconnected inputs are
-    decided per component and conjoined.  `max_exhaustive_n` caps the
-    vertex count of each exhaustive induced-path search.
+    scanned for a claw only when it has no root.  Inputs are decided per
+    block and conjoined: a disconnected input has no root and more than
+    one block, so its components need no search of their own.
+    `max_exhaustive_n` caps the vertex count of each exhaustive
+    induced-path search.
     """
-    # recognize_line_graph searches components only when it finds no
-    # root, and raises on a disconnected input; comps stays None for a
-    # connected one
-    comps = [] if g.n == 0 else None
-    try:
-        root = recognize_line_graph(g)
-    except GraphInputError:
-        root, comps = None, g.connected_components()
+    root = recognize_line_graph(g)
     if root is None:
         witness = find_claw(g)
         if witness is not None:
             raise NotClawFreeError(witness.centre, witness.leaves)
     run = _Run(max_exhaustive_n)
     origins = tuple(frozenset([v]) for v in range(g.n))
-    # a connected input is decided in place, with its root
-    verdict = _decide(run, g, origins, root) if comps is None else True
-    for comp in comps or ():
-        run.log("component", origins, comp, {"n": len(comp)})
-        sub, old_to_new = g.induced(comp)
-        sub_origins = tuple(origins[old] for old in old_to_new)
-        if not _decide(run, sub, sub_origins, recognize_line_graph(sub)):
-            verdict = False
-            break
+    verdict = g.n == 0 or _decide(run, g, origins, root)
     stats = {
         "decide_calls": run.decide_calls,
         "parity_queries": run.parity_queries,
@@ -174,8 +160,9 @@ def is_t_perfect(g: Graph, max_exhaustive_n: int = 20) -> Decision:
 
 
 def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
-    """The per-connected-graph recursion.  Callers pass `root`, g's root or
-    None, so every child gets the line-graph check first, like the input."""
+    """The recursion on a nonempty graph.  Callers pass `root`, g's root
+    or None, so every child gets the line-graph check first, like the
+    input."""
     run.decide_calls += 1
 
     # line graphs are settled through their root graph
@@ -235,10 +222,8 @@ def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
         children = [(g1, map1), (g2, map2)]
     else:
         parities = (
-            run.parity(g1, map1[u], map1[v], "odd"),
-            run.parity(g1, map1[u], map1[v], "even"),
-            run.parity(g2, map2[u], map2[v], "odd"),
-            run.parity(g2, map2[u], map2[v], "even"),
+            *run.parity(g1, map1[u], map1[v]),
+            *run.parity(g2, map2[u], map2[v]),
         )
         case, built = _reduced_sides((g1, map1), (g2, map2), u, v, parities)
         if case == "mixed-parities-both-sides":

@@ -214,6 +214,26 @@ class TestCorpusCheck:
         t_perfect = sum(1 for r in recs if r["result"]["recognizer"] == "t-perfect")
         assert f"t-perfect={t_perfect}" in summary
 
+    def test_refused_samples_are_reported_and_the_sweep_goes_on(self):
+        # past 12 vertices the closure oracle refuses a sample; it gets its
+        # own record and the other samples are still compared
+        code, text = run(["corpus-check", "--samples", "20", "--seed", "1", "--max-n", "14"])
+        assert code == 2
+        recs = reports(text)
+        assert [r["input"]["name"] for r in recs] == [f"sample[{i}]" for i in range(20)]
+        refused = [r for r in recs if "error" in r["result"]]
+        assert refused and all(r["result"]["error"] == "size-guard" for r in refused)
+        assert all(r["input"]["n"] > 12 for r in refused)
+        compared = [r for r in recs if "agree" in r["result"]]
+        assert len(compared) + len(refused) == 20 and all(r["result"]["agree"] for r in compared)
+        summary = [ln for ln in text.splitlines() if ln.startswith("#")]
+        assert summary == [
+            f"# corpus-check samples=20 agree={len(compared)} disagree=0 "
+            f"refused={len(refused)} "
+            f"t-perfect={sum(r['result']['recognizer'] == 't-perfect' for r in compared)} "
+            f"not-t-perfect={sum(r['result']['recognizer'] != 't-perfect' for r in compared)}"
+        ]
+
     def test_multi_graph_file_exit_code_is_worst(self, tmp_path):
         p = tmp_path / "mixed.g6"
         p.write_text(

@@ -71,8 +71,9 @@ class TestRecognition:
             assert rm is not None and rm.verify_against(g)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(GraphInputError):
-            recognize_line_graph(Graph(4, [(0, 1), (2, 3)]))
+        # each component is a line graph, but a root is connected
+        assert recognize_line_graph(Graph(4, [(0, 1), (2, 3)])) is None
+        assert recognize_line_graph(Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])) is None
 
     def test_round_trip_on_random_roots(self):
         rnd = random.Random(99)

@@ -7,7 +7,6 @@ from tperfect.core import Graph, complete_graph, cycle_graph, prism_graph, theta
 from tperfect.errors import GraphInputError, SizeGuardError
 from tperfect.parity import (
     LinkageQuery,
-    ParityQuery,
     exists_induced_path_with_parity,
     find_two_disjoint_paths,
     has_two_disjoint_odd_cycles,
@@ -38,14 +37,10 @@ def enumerate_induced_paths(g, u, v):
 
 class TestInducedParity:
     def test_adjacent_in_cycle_five(self):
-        g = cycle_graph(5)
-        assert exists_induced_path_with_parity(g, ParityQuery(0, 1, "odd"))
-        assert not exists_induced_path_with_parity(g, ParityQuery(0, 1, "even"))
+        assert exists_induced_path_with_parity(cycle_graph(5), 0, 1) == (True, False)
 
     def test_antipodal_in_cycle_four(self):
-        g = cycle_graph(4)
-        assert exists_induced_path_with_parity(g, ParityQuery(0, 2, "even"))
-        assert not exists_induced_path_with_parity(g, ParityQuery(0, 2, "odd"))
+        assert exists_induced_path_with_parity(cycle_graph(4), 0, 2) == (False, True)
 
     def test_matches_enumeration_on_random_graphs(self):
         rnd = random.Random(17)
@@ -56,18 +51,34 @@ class TestInducedParity:
             u, v = rnd.sample(range(n), 2)
             paths = enumerate_induced_paths(g, u, v)
             lengths = {(len(p) - 1) % 2 for p in paths}
-            assert exists_induced_path_with_parity(g, ParityQuery(u, v, "odd")) == (1 in lengths)
-            assert exists_induced_path_with_parity(g, ParityQuery(u, v, "even")) == (0 in lengths)
+            assert exists_induced_path_with_parity(g, u, v) == (1 in lengths, 0 in lengths)
+
+    def test_stops_once_both_parities_are_seen(self, monkeypatch):
+        # 0-1-2-5 is odd and 0-1-3-4-5 even, both through 1; the search
+        # finds both before it would leave 0 by the third path 0-6-7-5
+        g = Graph(8, [(0, 1), (1, 2), (2, 5), (1, 3), (3, 4), (4, 5), (0, 6), (6, 7), (7, 5)])
+        paths = enumerate_induced_paths(g, 0, 5)
+        assert sorted(len(p) - 1 for p in paths) == [3, 3, 4]
+        tried = []
+        sorted_neighbors = Graph.sorted_neighbors
+
+        def counted(self, x):
+            tried.append(x)
+            return sorted_neighbors(self, x)
+
+        monkeypatch.setattr(Graph, "sorted_neighbors", counted)
+        assert exists_induced_path_with_parity(g, 0, 5) == (True, True)
+        assert 6 not in tried and tried.count(0) == 1
 
     def test_size_guard(self):
         g = cycle_graph(25)
         with pytest.raises(SizeGuardError):
-            exists_induced_path_with_parity(g, ParityQuery(0, 5, "odd"))
-        assert exists_induced_path_with_parity(g, ParityQuery(0, 5, "odd"), max_exhaustive_n=30)
+            exists_induced_path_with_parity(g, 0, 5)
+        assert exists_induced_path_with_parity(g, 0, 5, max_exhaustive_n=30) == (True, True)
 
     def test_equal_endpoints_rejected(self):
         with pytest.raises(GraphInputError):
-            ParityQuery(1, 1, "odd")
+            exists_induced_path_with_parity(cycle_graph(5), 1, 1)
 
 
 class TestTwoDisjointPaths:

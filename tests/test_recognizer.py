@@ -186,23 +186,14 @@ class TestOracleAgreement:
 
 
 def claw_first_decision(g):
-    """Reference for `is_t_perfect`: the claw scan first, then every
-    component through `_decide` with a root built for it."""
+    """Reference for `is_t_perfect`: the claw scan first, then the whole
+    input through `_decide` with a root built for it."""
     witness = find_claw(g)
     if witness is not None:
         raise NotClawFreeError(witness.centre, witness.leaves)
     run = _Run()
     origins = tuple(frozenset([v]) for v in range(g.n))
-    verdict = True
-    for comp in g.connected_components():
-        sub, sub_origins = g, origins
-        if len(comp) < g.n:
-            run.log("component", origins, comp, {"n": len(comp)})
-            sub, old_to_new = g.induced(comp)
-            sub_origins = tuple(origins[old] for old in old_to_new)
-        if not _decide(run, sub, sub_origins, recognize_line_graph(sub)):
-            verdict = False
-            break
+    verdict = g.n == 0 or _decide(run, g, origins, recognize_line_graph(g))
     stats = {
         "decide_calls": run.decide_calls,
         "parity_queries": run.parity_queries,
@@ -243,7 +234,12 @@ class TestRootBeforeClawScan:
             perm = list(range(n))
             rnd.shuffle(perm)
             g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
-            assert is_t_perfect(g).to_json() == claw_first_decision(g).to_json(), g.edges
+            d = is_t_perfect(g)
+            assert d.to_json() == claw_first_decision(g).to_json(), g.edges
+            # the parts are decided as blocks of the whole and conjoined
+            assert d.t_perfect == all(is_t_perfect(h).t_perfect for h in parts), g.edges
+            first = d.certificate[0]
+            assert first.rule == "block-split" and len(first.vertices) == n
 
     def test_one_root_search_and_no_claw_scan_on_line_graphs(self, monkeypatch):
         calls = {"root": 0, "claw": 0}
@@ -262,7 +258,7 @@ class TestRootBeforeClawScan:
         is_t_perfect(squared_cycle(7))  # 3-connected, not a line graph
         assert calls == {"root": 2, "claw": 1}
 
-    def test_components_searched_only_without_a_root(self, monkeypatch):
+    def test_root_search_makes_no_component_search(self, monkeypatch, clawfree_to_nine):
         searches = []
         components = Graph.connected_components
 
@@ -271,16 +267,21 @@ class TestRootBeforeClawScan:
             return components(g)
 
         monkeypatch.setattr(Graph, "connected_components", counted)
-        # a found root proves the input connected
-        assert is_t_perfect(line_graph(complete_graph(4))[0]).t_perfect
-        assert searches == []
-        # a disconnected line graph is searched once as a whole
         two_triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        assert recognize_line_graph(two_triangles) is None
+        for g in clawfree_to_nine:
+            recognize_line_graph(g)
+        assert searches == []
+        # a disconnected input is split once, as blocks
         d = is_t_perfect(two_triangles)
-        assert d.t_perfect and [e.rule for e in d.certificate].count("component") == 2
-        assert searches.count(6) == 2  # the root search's test, then the split
+        assert d.t_perfect and [e.rule for e in d.certificate].count("block-split") == 1
+        assert d.certificate[0].rule == "block-split"
+
+    def test_empty_and_edgeless_inputs_are_t_perfect(self):
         empty = is_t_perfect(Graph(0))
         assert empty.t_perfect and empty.certificate == ()
+        edgeless = is_t_perfect(Graph(3))
+        assert edgeless.t_perfect and edgeless.certificate[0].rule == "block-split"
 
 
 class TestExceptionalForms:
