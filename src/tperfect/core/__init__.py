@@ -3,12 +3,10 @@
 from .connectivity import (
     BlockDecomposition,
     Separation,
-    bfs_spanning_tree,
     blocks,
     find_two_separation,
     is_three_connected,
     is_two_connected,
-    spanning_tree_fundamental_cycle,
 )
 from .flow import (
     EdgeCut,
@@ -42,7 +40,6 @@ __all__ = [
     "NAMED_CATALOGUE",
     "Separation",
     "bfs_path",
-    "bfs_spanning_tree",
     "blocks",
     "claw",
     "complete_graph",
@@ -61,7 +58,6 @@ __all__ = [
     "path_edges",
     "path_graph",
     "prism_graph",
-    "spanning_tree_fundamental_cycle",
     "squared_cycle",
     "squared_cycle_6_minus_edge",
     "squared_cycle_minus_vertex",

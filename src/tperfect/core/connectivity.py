@@ -1,11 +1,11 @@
-"""Blocks, low-order connectivity tests, separations, spanning trees."""
+"""Blocks, low-order connectivity tests and separations."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import GraphInputError, check
-from .graph import Edge, Graph, bfs_path, edge_key
+from ..errors import check
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -135,25 +135,40 @@ def _cut_vertices_without(g: Graph, u: int) -> set[int] | None:
 
 
 def _first_side(g: Graph, u: int, v: int) -> set[int]:
-    """The component of G - {u, v} that holds its smallest vertex."""
-    rest = [w for w in range(g.n) if w != u and w != v]
-    sub, _ = g.induced(rest)
-    return {rest[i] for i in sub.connected_components()[0]}
+    """The component of G - {u, v} that holds its smallest vertex: one
+    search over g's adjacency that steps over u and v (g.n >= 3)."""
+    start = min({0, 1, 2} - {u, v})
+    seen = {start, u, v}
+    found = [start]
+    for x in found:
+        for y in g._nbrs[x]:
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return set(found)
 
 
 def _least_separating_pair(g: Graph) -> tuple[int, int] | None:
     """The lexicographically least pair u < v with G - {u, v} disconnected,
-    or None.  g is connected with at least 4 vertices.
+    or None when there is none or g is disconnected.  g has at least 4
+    vertices.
 
     For each u in ascending order, the least cut vertex v > u of G - u
     gives the pair; a cut vertex v < u of G - u would have given (v, u)
     earlier.  When u is itself a cut vertex of g, G - u is disconnected
     and the pairs (u, v) are tested one by one; some (u, v) then separates
     unless u = n - 2, so that test runs at most once in full.  O(n(n + m)).
+
+    g is connected when vertex 0 has a neighbour and G - 0 is connected;
+    only a disconnected G - 0 costs a component search.
     """
+    if not g._nbrs[0]:
+        return None
     for u in range(g.n):
         cut = _cut_vertices_without(g, u)
         if cut is None:
+            if u == 0 and not g.is_connected():
+                return None
             for v in range(u + 1, g.n):
                 if len(_first_side(g, u, v)) < g.n - 2:
                     return u, v
@@ -193,11 +208,11 @@ def find_two_separation(g: Graph) -> Separation | None:
     that disconnects g, and the first side is the component of G - {u, v}
     holding its smallest vertex, plus u and v; the second side holds the
     other components, plus u and v.  Returns None when g is 3-connected
-    (caller error) or too small.
+    (caller error), disconnected or too small.
 
     One cut-vertex DFS of G - u per vertex u: O(n(n + m)).
     """
-    if g.n < 4 or not g.is_connected():
+    if g.n < 4:
         return None
     pair = _least_separating_pair(g)
     if pair is None:
@@ -208,42 +223,3 @@ def find_two_separation(g: Graph) -> Separation | None:
     side2 = frozenset(range(g.n)).difference(first)
     check(len(side1) < g.n and len(side2) < g.n, "separation sides must be proper")
     return Separation(side1, side2)
-
-
-def bfs_spanning_tree(g: Graph, root: int = 0) -> set[Edge]:
-    """Edge set of a deterministic BFS spanning tree of a connected graph.
-
-    Raises GraphInputError when the search from `root` misses a vertex.
-    """
-    tree: set[Edge] = set()
-    seen = [False] * g.n
-    seen[root] = True
-    queue = [root]
-    for x in queue:
-        for y in g.sorted_neighbors(x):
-            if not seen[y]:
-                seen[y] = True
-                tree.add(edge_key(x, y))
-                queue.append(y)
-    if len(queue) < g.n:
-        raise GraphInputError("spanning tree of a disconnected graph")
-    return tree
-
-
-def spanning_tree_fundamental_cycle(g: Graph, tree: Graph, e: Edge) -> list[int]:
-    """The unique cycle in tree + e, as an ordered vertex sequence starting
-    and ending at e's endpoints (the closing edge e is implicit).
-
-    `tree` is a spanning tree of g as a graph on g's vertices; callers
-    with several non-tree edges build it once.
-    """
-    e = edge_key(*e)
-    in_range = 0 <= e[0] and e[1] < g.n
-    if in_range and tree.has_edge(*e):
-        raise GraphInputError(f"edge {e} already in the spanning tree")
-    if not (in_range and g.has_edge(*e)):
-        raise GraphInputError(f"edge {e} not in the graph")
-    path = bfs_path(tree, {e[0]}, {e[1]})
-    if path is None:
-        raise GraphInputError("tree does not span the endpoints of e")
-    return path

@@ -1,28 +1,30 @@
 """Skewed-theta detection in subcubic graphs.
 
 A skewed theta is a subgraph made of three edge-disjoint paths joining two
-branch vertices, two paths of odd length and one of even length.  The
-decision procedure runs per 2-connected block in two phases.  Phase one
-starts from the 2-colouring of a BFS spanning tree, so tree edges are
-even-class, the even graph is connected, and the odd-class edges are the
-non-tree edges closing odd fundamental cycles (none in a bipartite block).
-It then repeatedly either certifies a skewed theta or finds an edge cut
-with more odd- than even-class edges and flips one side of it, strictly
-shrinking the odd-edge count.  Once at most two odd-class edges remain,
-phase two decides directly; since a cycle is odd exactly when it carries
-an odd number of odd-class edges, every skewed theta contains one of them.
-Two are flipped down to one when the O(m) `small_flip_cut` finds a cut
-of at most three edges through both; otherwise a minimum cut between
-their linking paths either certifies a theta (the lemma in
-`_linking_paths_cut`) or is split into two smaller two-edge instances,
-pairing the cut edges by one 2-path flow per side and reading path
-parities from the labels (the lemma in `_two_odd_block`).  With one, e, a
-skewed theta exists iff two degree-3 vertices on opposite sides of e's
-block are joined by three edge-disjoint paths (the lemma in
-`_one_odd_block`), decided by at most one minimum cut per degree-3
-vertex in O(n * m).  `decide_few_odd_edges` is phase two's one public
-entry.  The exhaustive 2-linkage and disjoint-odd-cycle searches of
-`parity` are references for the tests, not decision steps.
+branch vertices, two paths of odd length and one of even length, so a
+bipartite graph has none: one BFS 2-colouring of the whole graph answers
+it.  Otherwise the decision runs per 2-connected block in two phases.
+Phase one starts from the 2-colouring of a BFS spanning tree, so tree edges
+are even-class, the even graph is connected, and the odd-class edges are
+the non-tree edges closing odd fundamental cycles.  It then repeatedly
+either certifies a skewed theta or finds an edge cut with more odd- than
+even-class edges and flips one side of it, strictly shrinking the odd-edge
+count; `triads` reads three fundamental cycles off one BFS tree of the even
+graph by walking up parents.  Once at most two odd-class edges remain,
+phase two decides directly; since a cycle is odd exactly when it carries an
+odd number of odd-class edges, every skewed theta contains one of them.
+Two are flipped down to one when the O(m) `small_flip_cut` finds a cut of
+at most three edges through both; otherwise a minimum cut between their
+linking paths either certifies a theta (the lemma in `_linking_paths_cut`)
+or is split into two smaller two-edge instances, pairing the cut edges by
+one 2-path flow per side and reading path parities from the labels (the
+lemma in `_two_odd_block`).  With one, e, a skewed theta exists iff two
+degree-3 vertices on opposite sides of e's block are joined by three
+edge-disjoint paths (the lemma in `_one_odd_block`), decided by at most one
+minimum cut per degree-3 vertex in O(n * m).  `decide_few_odd_edges` is
+phase two's one public entry.  The exhaustive 2-linkage and
+disjoint-odd-cycle searches of `parity` are references for the tests, not
+decision steps.
 
 Verdicts carry a trace of fired rules; explicit theta subgraphs are not
 extracted (the brute-force oracle provides witnesses at desk scale).
@@ -32,11 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core.connectivity import (
-    bfs_spanning_tree,
-    blocks,
-    spanning_tree_fundamental_cycle,
-)
+from .core.connectivity import blocks
 from .core.flow import (
     EdgeCut,
     edge_disjoint_paths,
@@ -240,7 +238,9 @@ def triads(
     The routine follows the fundamental-cycle analysis: disconnected even
     graph, two edge-disjoint odd fundamental cycles, a common cycle edge,
     a one-edge separation, and finally the crossing analysis of two even
-    connections off the tri-odd cycle.
+    connections off the tri-odd cycle.  The fundamental cycles are read
+    off one BFS tree of the even graph by walking up parents; the even
+    graph itself is built only for the flows of the last three steps.
     """
     odds = tuple(sorted({edge_key(*o1), edge_key(*o2), edge_key(*o3)}))
     if len(odds) != 3 or any(not view.is_odd(e) for e in odds):
@@ -248,28 +248,22 @@ def triads(
     if not h.is_subcubic():
         raise GraphInputError("triads expects a subcubic graph")
     o1, o2, o3 = odds
-    gp = view.even_graph()
 
-    comps = gp.connected_components()
-    if len(comps) > 1:
-        cut = exact_cut(h, comps[0])
+    parent, depth, reached = _even_bfs_tree(h, view.labels)
+    if len(reached) < h.n:
+        cut = exact_cut(h, reached)
         check(
             all(view.is_odd(e) for e in cut.edges) and len(cut.edges) >= 2,
             "component cut of the even graph must be all-odd and >= 2 edges",
         )
         return cut
 
-    tree = Graph._trusted(h.n, sorted(bfs_spanning_tree(gp)))
-    cycle_edges = {}
-    for o in odds:
-        es = set(path_edges(spanning_tree_fundamental_cycle(h, tree, o)))
-        es.add(o)
-        cycle_edges[o] = es
-
+    cycle_edges = {o: _tree_cycle_edges(parent, depth, o) for o in odds}
     for a, b in ((o1, o2), (o1, o3), (o2, o3)):
         if not (cycle_edges[a] & cycle_edges[b]):
             return ThetaFound("edge-disjoint-odd-fundamental-cycles")
 
+    gp = view.even_graph()
     common = cycle_edges[o1] & cycle_edges[o2] & cycle_edges[o3]
     if common:
         e = min(common)
@@ -330,6 +324,34 @@ def triads(
     comps = _edge_components(h.n, union)
     check(len(comps) == 2, "crossing split must leave two components")
     return _tree_pair_cut(h, gp, view, comps[0], comps[1], odds)
+
+
+def _even_bfs_tree(h: Graph, labels) -> tuple[list[int], list[int], list[int]]:
+    """BFS from vertex 0 over h's sorted neighbours across label-changing
+    edges only: the even graph's search, without building it.  Parents
+    and depths are -1 off the tree; `reached` is in BFS order."""
+    parent, depth = [-1] * h.n, [-1] * h.n
+    depth[0] = 0
+    reached = [0]
+    for x in reached:
+        for y in h._nbrs[x]:
+            if depth[y] == -1 and labels[y] != labels[x]:
+                parent[y], depth[y] = x, depth[x] + 1
+                reached.append(y)
+    return parent, depth, reached
+
+
+def _tree_cycle_edges(parent: list[int], depth: list[int], e: Edge) -> set[Edge]:
+    """The non-tree edge e plus the tree path between its ends, walked up
+    from the deeper end to the common ancestor: e's fundamental cycle."""
+    a, b = e
+    edges = {edge_key(a, b)}
+    while a != b:
+        if depth[a] < depth[b]:
+            a, b = b, a
+        edges.add(edge_key(a, parent[a]))
+        a = parent[a]
+    return edges
 
 
 def _assemble_cycle(ring: set[Edge]) -> list[int]:
@@ -781,13 +803,18 @@ def _one_side_graph(h, view, keep_side, x_k, y_k, p_repl, q_repl):
 def has_skewed_theta(h: Graph) -> ThetaVerdict:
     """Decide whether a subcubic graph contains a skewed theta.
 
-    Per 2-connected block: start from a BFS spanning-tree 2-colouring,
-    reduce the odd-class edge count through triad cuts and flips, then
-    dispatch the remaining at-most-two odd edges.  The verdict is the
-    disjunction over blocks.
+    A BFS 2-colouring of h with no odd-class edge answers at once (rule
+    `bipartite`): a skewed theta's odd and even paths close an odd cycle.
+    Otherwise, per 2-connected block: start from a BFS spanning-tree
+    2-colouring (h's own when the block is h), reduce the odd-class edge
+    count through triad cuts and flips, then dispatch the remaining
+    at-most-two odd edges.  The verdict is the disjunction over blocks.
     """
     if not h.is_subcubic():
         raise GraphInputError("skewed-theta detection expects a subcubic graph")
+    whole = spanning_tree_view(h)
+    if not whole.odd_edges:
+        return ThetaVerdict(False, (("bipartite", {"n": h.n, "m": h.m}),))
     trace: list[tuple[str, dict]] = []
     dec = blocks(h)
     for blk in dec.blocks:
@@ -795,7 +822,7 @@ def has_skewed_theta(h: Graph) -> ThetaVerdict:
             continue  # a skewed theta needs five vertices
         sub = h.induced(blk)[0] if len(blk) < h.n else h
         trace.append(("block", {"vertices": sorted(blk)}))
-        view = spanning_tree_view(sub)
+        view = whole if sub is h else spanning_tree_view(sub)
         while len(view.odd_edges) >= 3:
             o1, o2, o3 = view.odd_edges[:3]
             res = triads(sub, view, o1, o2, o3)

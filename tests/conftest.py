@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from tperfect.core.graph import Graph
+from tperfect.core.graph import Graph, bfs_path, edge_key
+from tperfect.errors import GraphInputError
 
 
 @pytest.fixture(scope="session")
@@ -164,3 +165,131 @@ def split_family(k):
             n += 2 * k
         edges += zip(path, path[1:] + [v])
     return Graph(n, edges)
+
+
+def random_bridgeless_cubic_graph(rnd, n):
+    """Pairing model: three points per vertex, matched at random, kept
+    when the result is simple and 2-connected (for a cubic graph, the
+    same as connected and bridgeless)."""
+    from tperfect.core import is_two_connected
+
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rnd.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            g = Graph(n, sorted(edges))
+            if is_two_connected(g):
+                return g
+
+
+def subdivided_cubic_root(rnd, n_cubic):
+    """A bridgeless cubic graph with every edge but one subdivided once.
+    Every path between cubic vertices is odd exactly when it uses the
+    whole edge, and at most one path of a theta can use it, so no skewed
+    theta exists."""
+    cubic = random_bridgeless_cubic_graph(rnd, n_cubic)
+    kept = rnd.choice(cubic.edges)
+    edges = [kept]
+    for u, v in cubic.edges:
+        if (u, v) != kept:
+            mid = n_cubic + len(edges) // 2
+            edges += [(u, mid), (mid, v)]
+    return Graph(n_cubic + len(edges) // 2, edges)
+
+
+def planted_theta_root(rnd, n):
+    """A connected subcubic graph on n vertices around a planted skewed
+    theta between vertices 0 and 1 (path lengths odd, odd, even): fresh
+    vertices hang off random vertices of degree below 3, then about n / 4
+    chords join such vertices."""
+    deg, edges, nxt = [0] * n, set(), 2
+
+    def add(u, v):
+        edges.add((min(u, v), max(u, v)))
+        deg[u] += 1
+        deg[v] += 1
+
+    for length in (rnd.choice((1, 3, 5)), rnd.choice((3, 5)), rnd.choice((2, 4))):
+        path = [0, *range(nxt, nxt + length - 1), 1]
+        nxt += length - 1
+        for a, b in zip(path, path[1:]):
+            add(a, b)
+    for v in range(nxt, n):
+        add(rnd.choice([w for w in range(v) if deg[w] < 3]), v)
+    for _ in range(n // 4):
+        open_ = [w for w in range(n) if deg[w] < 3]
+        if len(open_) < 2:
+            break
+        u, v = rnd.sample(open_, 2)
+        if (min(u, v), max(u, v)) not in edges:
+            add(u, v)
+    return Graph(n, sorted(edges))
+
+
+def golden_theta_roots():
+    """Seeded non-bipartite subcubic roots, as (name, graph) pairs:
+    subdivided cubic roots, planted-theta roots and random subcubic
+    graphs of 19 to 300 vertices, then 200 random subcubic graphs of 8 to
+    20 vertices, which reach flips, phase two and every branch of
+    `triads` that phase one meets.  `tests/data/theta_traces.json` holds
+    the `has_skewed_theta` trace of each."""
+    from tperfect.corpus import random_subcubic_graph
+
+    rnd = random.Random(15)
+    for n_cubic in (8, 12, 16, 24, 40, 60, 80, 120):
+        yield f"subdivided-cubic-{n_cubic}", subdivided_cubic_root(rnd, n_cubic)
+    for n in range(20, 301, 20):
+        yield f"planted-theta-{n}", planted_theta_root(rnd, n)
+    for n in range(20, 301, 20):
+        g = random_subcubic_graph(rnd, n)
+        if not g.is_bipartite():
+            yield f"random-subcubic-{n}", g
+    small = 0
+    while small < 200:
+        g = random_subcubic_graph(rnd, rnd.randint(8, 20))
+        if not g.is_bipartite():
+            small += 1
+            yield f"small-random-{small}", g
+
+
+# -- references for `theta._even_bfs_tree` and `theta._tree_cycle_edges`:
+# a BFS spanning tree and the fundamental cycle of a non-tree edge
+
+
+def bfs_spanning_tree(g, root=0):
+    """Edge set of a deterministic BFS spanning tree of a connected graph.
+
+    Raises GraphInputError when the search from `root` misses a vertex.
+    """
+    tree = set()
+    seen = [False] * g.n
+    seen[root] = True
+    queue = [root]
+    for x in queue:
+        for y in g.sorted_neighbors(x):
+            if not seen[y]:
+                seen[y] = True
+                tree.add(edge_key(x, y))
+                queue.append(y)
+    if len(queue) < g.n:
+        raise GraphInputError("spanning tree of a disconnected graph")
+    return tree
+
+
+def spanning_tree_fundamental_cycle(g, tree, e):
+    """The unique cycle in tree + e, as an ordered vertex sequence starting
+    and ending at e's endpoints (the closing edge e is implicit).
+
+    `tree` is a spanning tree of g as a graph on g's vertices.
+    """
+    e = edge_key(*e)
+    in_range = 0 <= e[0] and e[1] < g.n
+    if in_range and tree.has_edge(*e):
+        raise GraphInputError(f"edge {e} already in the spanning tree")
+    if not (in_range and g.has_edge(*e)):
+        raise GraphInputError(f"edge {e} not in the graph")
+    path = bfs_path(tree, {e[0]}, {e[1]})
+    if path is None:
+        raise GraphInputError("tree does not span the endpoints of e")
+    return path

@@ -12,10 +12,10 @@ import random
 import time
 
 import pytest
-from conftest import split_family
+from conftest import random_bridgeless_cubic_graph, split_family, subdivided_cubic_root
 
 from tperfect.cli import run_cli
-from tperfect.core import Graph, is_two_connected, make_named
+from tperfect.core import Graph, make_named
 from tperfect.corpus import (
     enumerate_connected_graphs,
     generate_corpus,
@@ -207,35 +207,6 @@ def test_criterion_7_polynomial_scaling_smoke():
     )
 
 
-def _random_bridgeless_cubic_graph(rnd, n):
-    """Pairing model: three points per vertex, matched at random, kept
-    when the result is simple and 2-connected (for a cubic graph, the
-    same as connected and bridgeless)."""
-    while True:
-        points = [v for v in range(n) for _ in range(3)]
-        rnd.shuffle(points)
-        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
-        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
-            g = Graph(n, sorted(edges))
-            if is_two_connected(g):
-                return g
-
-
-def _subdivided_cubic_root(rnd, n_cubic):
-    """A bridgeless cubic graph with every edge but one subdivided once.
-    Every path between cubic vertices is odd exactly when it uses the
-    whole edge, and at most one path of a theta can use it, so no skewed
-    theta exists."""
-    cubic = _random_bridgeless_cubic_graph(rnd, n_cubic)
-    kept = rnd.choice(cubic.edges)
-    edges = [kept]
-    for u, v in cubic.edges:
-        if (u, v) != kept:
-            mid = n_cubic + len(edges) // 2
-            edges += [(u, mid), (mid, v)]
-    return Graph(n_cubic + len(edges) // 2, edges)
-
-
 def test_criterion_9_one_odd_edge_theta_scaling():
     # the family on which theta phase two used to branch exponentially
     rnd = random.Random(2013)
@@ -244,7 +215,7 @@ def test_criterion_9_one_odd_edge_theta_scaling():
     for n in sizes:
         times, rules = [], []
         for _ in range(3):
-            root = _subdivided_cubic_root(rnd, n)
+            root = subdivided_cubic_root(rnd, n)
             t0 = time.perf_counter()
             verdict = has_skewed_theta(root)
             times.append(time.perf_counter() - t0)
@@ -280,7 +251,7 @@ def test_criterion_10_phase_one_scaling():
     root_sizes = (100, 200, 400, 800)
     root_rules = []
     for n in root_sizes:
-        cubic = _random_bridgeless_cubic_graph(rnd, 2 * n // 5)
+        cubic = random_bridgeless_cubic_graph(rnd, 2 * n // 5)
         edges = []
         for i, (u, v) in enumerate(cubic.edges):
             edges += [(u, cubic.n + i), (cubic.n + i, v)]

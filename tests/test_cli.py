@@ -105,6 +105,23 @@ class TestExitCodes:
         code, _ = run(["skewed-theta", files["claw"]])
         assert code == 0
 
+    def test_skewed_theta_trace(self, files, tmp_path):
+        # a bipartite input answers with the one-entry `bipartite` rule
+        p = tmp_path / "c6.g6"
+        p.write_text(graph_to_graph6(cycle_graph(6)) + "\n")
+        code, text = run(["skewed-theta", str(p), "--trace"])
+        assert code == 0
+        assert reports(text)[0]["result"] == {
+            "outcome": "no-skewed-theta",
+            "trace": [["bipartite", {"n": 6, "m": 6}]],
+        }
+        code, text = run(["skewed-theta", files["theta"], "--trace"])
+        assert code == 1
+        assert reports(text)[0]["result"]["trace"] == [
+            ["block", {"vertices": [0, 1, 2, 3, 4]}],
+            ["opposite-side-branch-pair", {"pair": [0, 1]}],
+        ]
+
     def test_two_odd_split_past_the_old_linkage_cap(self, tmp_path):
         # G_3 and its 86-vertex line graph reach the two-odd-edge split
         # with sides larger than the exhaustive 2-linkage's 64-vertex cap

@@ -4,7 +4,12 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import cycle_blowup, random_graph
+from conftest import (
+    bfs_spanning_tree,
+    cycle_blowup,
+    random_graph,
+    spanning_tree_fundamental_cycle,
+)
 
 from tperfect.core import (
     Graph,
@@ -18,13 +23,12 @@ from tperfect.core import (
     is_three_connected,
     make_named,
     path_graph,
-    spanning_tree_fundamental_cycle,
     squared_cycle,
     squared_cycle_6_minus_edge,
     squared_cycle_minus_vertex,
     theta_graph,
 )
-from tperfect.core.connectivity import Separation, bfs_spanning_tree
+from tperfect.core.connectivity import Separation
 from tperfect.errors import GraphInputError
 from tperfect.linegraph import line_graph, recognize_line_graph
 from tperfect.theta import make_view
@@ -188,6 +192,34 @@ class TestConnectivityOrders:
             assert h.is_connected()
         assert is_three_connected(g)
         assert find_two_separation(g) is None
+
+    def test_disconnected_inputs_have_no_separation(self):
+        # vertex 0 isolated; 0 in a component with a separating pair; 0 a
+        # cut vertex of its own component; G - 0 connected but g not
+        cases = [
+            Graph(5, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+            Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)]),
+            Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (4, 5)]),
+            Graph(4, [(1, 2), (2, 3)]),
+        ]
+        for g in cases:
+            assert not g.is_connected()
+            assert find_two_separation(g) is None
+            assert not is_three_connected(g)
+
+    def test_two_connected_blocks_make_no_component_search(self, monkeypatch):
+        searches = []
+        components = Graph.connected_components
+        monkeypatch.setattr(
+            Graph,
+            "connected_components",
+            lambda h: searches.append(h.n) or components(h),
+        )
+        graphs = [cycle_graph(7), squared_cycle(9), squared_cycle_minus_vertex(9)]
+        graphs += [cycle_blowup(sizes) for sizes in ([2, 1, 2, 1, 1], [1, 2, 1, 1, 2, 1, 1])]
+        answers = [find_two_separation(g) for g in graphs]
+        assert searches == []
+        assert [sep is None for sep in answers] == [False, True, True, False, False]
 
 
 def pair_scan_two_separation(g):

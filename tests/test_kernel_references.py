@@ -2,30 +2,31 @@
 verbatim in behaviour as references: the set-level line-graph kernel and
 the vertex-stack block decomposition (same roots, same edge-to-vertex maps,
 None on every disconnected input, same `BlockDecomposition`, same
-errors), the searches now routed
-through `bfs_path` and `Graph.connected_components` (same linkage paths,
-fundamental cycles, tree sides, edge components, ring orders and
-separation sides, same errors), the exhaustive two-odd-edge split that
-one flow per side replaced (same verdicts and traces), and the
-arc-network flow kernel that augmenting on the graph's own adjacency
-replaced (same cuts, paths and None results)."""
+errors), the searches now routed through `bfs_path` and
+`Graph.connected_components` (same linkage paths, fundamental cycles, tree
+sides, edge components and ring orders, same errors), the separation side
+now found by one search over the adjacency, the BFS spanning tree and
+fundamental cycles that `triads`' parent walk replaced (same tree, reached
+set and cycle edges), the exhaustive two-odd-edge split that one flow per
+side replaced (same verdicts and traces), and the arc-network flow kernel
+that augmenting on the graph's own adjacency replaced (same cuts, paths
+and None results)."""
 
 import random
 from itertools import combinations
 
-from conftest import glued_two_odd_instances, two_odd_edge_instances
+from conftest import (
+    bfs_spanning_tree,
+    glued_two_odd_instances,
+    spanning_tree_fundamental_cycle,
+    two_odd_edge_instances,
+)
 
 from tperfect import theta
 from tperfect.core import Graph, complete_graph, cycle_graph
 from tperfect.core import flow as flows
-from tperfect.core.connectivity import (
-    BlockDecomposition,
-    _first_side,
-    bfs_spanning_tree,
-    blocks,
-    spanning_tree_fundamental_cycle,
-)
-from tperfect.core.graph import edge_key
+from tperfect.core.connectivity import BlockDecomposition, _first_side, blocks
+from tperfect.core.graph import edge_key, path_edges
 from tperfect.corpus import random_subcubic_graph
 from tperfect.errors import GraphInputError, InternalInvariantError, SizeGuardError
 from tperfect.parity import LinkageQuery, find_two_disjoint_paths, has_two_disjoint_odd_cycles
@@ -584,6 +585,40 @@ class TestBfsRoutedSearches:
                     cycles += 1
         assert errors == {"tree", "graph", "e"} and cycles > 2000, errors
 
+    def test_parent_walk_cycles_match_the_tree_references(self):
+        # triads' BFS over label-changing edges is the BFS tree of the even
+        # graph, its reached set is the even graph's first component, and
+        # walking up parents gives every fundamental cycle's edges
+        rnd = random.Random(23)
+        kinds = {"spanning": 0, "disconnected": 0}
+        cycles = 0
+        for g in corpus(23, 1500):
+            if g.n < 2 or not g.is_connected():
+                continue
+            if rnd.random() < 0.4:
+                labels = theta.spanning_tree_view(g).labels
+            else:
+                labels = [rnd.randint(0, 1) for _ in range(g.n)]
+            gp = theta.make_view(g, labels).even_graph()
+            parent, depth, reached = theta._even_bfs_tree(g, labels)
+            comps = gp.connected_components()
+            if len(comps) > 1:
+                assert sorted(reached) == comps[0], (g.edges, labels)
+                kinds["disconnected"] += 1
+                continue
+            tree = bfs_spanning_tree(gp)
+            assert {edge_key(v, parent[v]) for v in reached[1:]} == tree
+            as_graph = Graph(g.n, tree)
+            for e in g.edges:
+                if e in tree:
+                    continue
+                path = spanning_tree_fundamental_cycle(g, as_graph, e)
+                want = set(path_edges(path)) | {e}
+                assert theta._tree_cycle_edges(parent, depth, e) == want, (g.edges, labels, e)
+                cycles += 1
+            kinds["spanning"] += 1
+        assert min(kinds.values()) > 150 and cycles > 3000, (kinds, cycles)
+
     def test_tree_split_matches_reference(self):
         rnd = random.Random(18)
         for _ in range(1500):
@@ -670,6 +705,17 @@ class TestRingAndSideSearches:
         # half the pairs leave G - {u, v} disconnected, so a side taken
         # from any other component than the first one fails here
         assert pairs > 25000 and split > 12000, (pairs, split)
+
+    def test_separation_side_builds_no_graph(self, monkeypatch):
+        g = cycle_graph(9)
+        builds = []
+        fill = Graph._fill
+        monkeypatch.setattr(
+            Graph, "_fill", lambda h, n, edges: builds.append(n) or fill(h, n, edges)
+        )
+        assert _first_side(g, 2, 6) == {0, 1, 7, 8}
+        assert _first_side(g, 0, 1) == set(range(2, 9))
+        assert builds == []
 
 
 # -- reference: the exhaustive two-odd-edge split --------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import random_graph
+from conftest import cycle_blowup, random_graph
 
 from tperfect import recognizer
 from tperfect.core import (
@@ -276,6 +276,25 @@ class TestRootBeforeClawScan:
         d = is_t_perfect(two_triangles)
         assert d.t_perfect and [e.rule for e in d.certificate].count("block-split") == 1
         assert d.certificate[0].rule == "block-split"
+
+    def test_separation_layer_makes_no_component_search(self, monkeypatch):
+        # find_two_separation meets only 2-connected blocks on this path
+        searches = []
+        components = Graph.connected_components
+        monkeypatch.setattr(
+            Graph, "connected_components", lambda g: searches.append(g.n) or components(g)
+        )
+        rnd = random.Random(14)
+        separations = []
+        split = recognizer.find_two_separation
+        monkeypatch.setattr(
+            recognizer, "find_two_separation", lambda g: separations.append(g.n) or split(g)
+        )
+        for _ in range(60):
+            is_t_perfect(cycle_blowup([rnd.choice((1, 1, 2)) for _ in range(rnd.randint(5, 12))]))
+        for n in (11, 14, 20):
+            is_t_perfect(squared_cycle(n))
+        assert len(separations) > 60 and searches == []
 
     def test_empty_and_edgeless_inputs_are_t_perfect(self):
         empty = is_t_perfect(Graph(0))

@@ -1,8 +1,16 @@
+import hashlib
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from conftest import glued_two_odd_instances, split_family, two_odd_edge_instances
+from conftest import (
+    glued_two_odd_instances,
+    golden_theta_roots,
+    split_family,
+    two_odd_edge_instances,
+)
 
 from tperfect import parity, theta
 from tperfect.core import (
@@ -73,10 +81,8 @@ class TestFlip:
         # any cycle is odd exactly when it carries an odd number of
         # odd-class edges, for every bipartition: sampled via fundamental
         # cycles of random subcubic graphs under random bipartitions
-        from tperfect.core.connectivity import (
-            bfs_spanning_tree,
-            spanning_tree_fundamental_cycle,
-        )
+        from conftest import bfs_spanning_tree, spanning_tree_fundamental_cycle
+
         from tperfect.core.graph import edge_key, path_edges
 
         rnd = random.Random(4)
@@ -533,3 +539,69 @@ class TestEndToEnd:
         for _ in range(600):
             g = random_subcubic_graph(rnd, rnd.randint(4, 13))
             assert has_skewed_theta(g).contains == has_skewed_theta_bruteforce(g)
+
+
+GOLDEN_TRACES = Path(__file__).resolve().parent / "data" / "theta_traces.json"
+
+
+def golden_record(name, g):
+    """One line of `data/theta_traces.json`: the root's name, size and an
+    edge digest (so a drifting generator fails loudly) and its trace."""
+    return json.dumps(
+        {
+            "edges": hashlib.sha256(repr(g.edges).encode()).hexdigest()[:16],
+            "m": g.m,
+            "n": g.n,
+            "name": name,
+            "trace": [[rule, info] for rule, info in has_skewed_theta(g).trace],
+        },
+        sort_keys=True,
+    )
+
+
+class TestBipartiteRule:
+    def test_traces_of_non_bipartite_roots_match_the_recorded_file(self):
+        # recorded before the bipartite rule and the parent-walk cycles:
+        # on non-bipartite roots both leave every trace as it was
+        want = GOLDEN_TRACES.read_text().splitlines()
+        got = [golden_record(name, g) for name, g in golden_theta_roots()]
+        assert len(got) == len(want) == 238
+        for line, expected in zip(got, want):
+            assert line == expected
+
+    def test_bipartite_roots_answer_at_once(self, monkeypatch):
+        # a skewed theta's odd and even paths close an odd cycle, so a
+        # bipartite root has none; no block pass and no per-block work
+        rnd = random.Random(1515)
+        calls = Counter()
+        for name in ("blocks", "triads", "_few_odd_block"):
+            fn = getattr(theta, name)
+            monkeypatch.setattr(
+                theta, name, lambda *a, _f=fn, _n=name: calls.update([_n]) or _f(*a)
+            )
+        seen = 0
+        while seen < 400:
+            g = random_subcubic_graph(rnd, rnd.randint(1, 13))
+            if not g.is_bipartite():
+                continue
+            verdict = has_skewed_theta(g)
+            assert verdict.trace == (("bipartite", {"n": g.n, "m": g.m}),)
+            assert not verdict.contains and not has_skewed_theta_bruteforce(g)
+            seen += 1
+        assert calls == Counter()
+        assert has_skewed_theta(Graph(0)).trace == (("bipartite", {"n": 0, "m": 0}),)
+
+    def test_a_root_that_is_one_block_is_coloured_once(self, monkeypatch):
+        colourings = []
+        fn = theta.spanning_tree_view
+        monkeypatch.setattr(
+            theta, "spanning_tree_view", lambda h: colourings.append(h.n) or fn(h)
+        )
+        assert has_skewed_theta(split_family(1)).contains is False
+        assert colourings == [36]
+        # a root of several blocks colours each large block on its own
+        colourings.clear()
+        g = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)])
+        verdict = has_skewed_theta(g)
+        assert colourings == [8, 5]
+        assert [rule for rule, _ in verdict.trace][0] == "block"
