@@ -1,4 +1,9 @@
-"""Blocks, low-order connectivity tests and separations."""
+"""Blocks, low-order connectivity tests and separations.
+
+One low-point DFS, `_low_points`, serves both blocks and the separation
+scan: run on g it gives the blocks, and run on G - u, with u stepped over
+in place, it gives the cut vertices behind the least separating pair.
+"""
 
 from __future__ import annotations
 
@@ -17,30 +22,35 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
 
 
-def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected components via one iterative Hopcroft-Tarjan pass.
+def _low_points(g: Graph, skip: int | None = None) -> tuple[list[set[int]], set[int], int]:
+    """The blocks, cut vertices and number of components of g, or of
+    G - skip when `skip` is given: one iterative Hopcroft-Tarjan
+    low-point DFS over g's sorted adjacency.  O(n + m).
 
     Vertices are stacked as they are discovered; when a child v of u
     finishes with low[v] >= disc[u], the vertices stacked from v on, plus
-    u, form a block.  Isolated vertices become singleton blocks so the
-    blocks cover V as well as E.  Blocks are ordered by smallest contained
-    vertex, then lexicographic.  O(n + m).
+    u, form a block.  A root with no child is an isolated vertex and a
+    singleton block.  The skipped vertex is marked discovered at disc = n
+    before the search, so it is never entered, never starts a tree and
+    never lowers a low point: G - skip is searched with no graph built
+    and no extra test per edge.
     """
     nbrs = g._nbrs
     disc = [-1] * g.n
     low = [0] * g.n
+    if skip is not None:
+        disc[skip] = g.n
     cut: set[int] = set()
     raw_blocks: list[set[int]] = []
+    trees = 0
     timer = 0
 
     for root in range(g.n):
         if disc[root] != -1:
             continue
+        trees += 1
         disc[root] = low[root] = timer
         timer += 1
-        if not nbrs[root]:
-            raw_blocks.append({root})
-            continue
         root_children = 0
         found = [root]
         # frames: (vertex, iterator over its neighbours, its place in found)
@@ -75,9 +85,20 @@ def blocks(g: Graph) -> BlockDecomposition:
                         root_children += 1
                     else:
                         cut.add(u)
-        if root_children > 1:
+        if root_children == 0:
+            raw_blocks.append({root})
+        elif root_children > 1:
             cut.add(root)
+    return raw_blocks, cut, trees
 
+
+def blocks(g: Graph) -> BlockDecomposition:
+    """Biconnected components from one `_low_points` pass.  Isolated
+    vertices become singleton blocks so the blocks cover V as well as E.
+    Blocks are ordered by smallest contained vertex, then lexicographic.
+    O(n + m).
+    """
+    raw_blocks, cut, _ = _low_points(g)
     ordered = sorted(raw_blocks, key=lambda b: (min(b), sorted(b)))
     return BlockDecomposition(tuple(frozenset(b) for b in ordered), frozenset(cut))
 
@@ -86,52 +107,6 @@ def is_two_connected(g: Graph) -> bool:
     """2-connected in the strict sense: at least 3 vertices, connected,
     no cut vertex (one block, since the blocks cover every vertex)."""
     return g.n >= 3 and len(blocks(g).blocks) == 1
-
-
-def _cut_vertices_without(g: Graph, u: int) -> set[int] | None:
-    """Cut vertices of G - u, or None when G - u is disconnected.
-
-    One iterative low-point DFS (Hopcroft-Tarjan) over g's adjacency that
-    steps over u in place, so no graph is built: O(n + m).
-    """
-    n = g.n
-    root = 1 if u == 0 else 0
-    disc = [-1] * n
-    low = [0] * n
-    disc[root] = 0
-    timer = 1
-    root_children = 0
-    cut: set[int] = set()
-    stack = [(root, iter(g.neighbors(root)))]
-    while stack:
-        v, it = stack[-1]
-        for w in it:
-            if w == u:
-                continue
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, iter(g.neighbors(w))))
-                break
-            # a back edge, or the tree edge to v's parent: low[v] never
-            # drops below disc[parent] through it, so the test below holds
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p == root:
-                    root_children += 1
-                elif low[v] >= disc[p]:
-                    cut.add(p)
-    if timer < n - 1:
-        return None
-    if root_children > 1:
-        cut.add(root)
-    return cut
 
 
 def _first_side(g: Graph, u: int, v: int) -> set[int]:
@@ -153,11 +128,12 @@ def _least_separating_pair(g: Graph) -> tuple[int, int] | None:
     or None when there is none or g is disconnected.  g has at least 4
     vertices.
 
-    For each u in ascending order, the least cut vertex v > u of G - u
-    gives the pair; a cut vertex v < u of G - u would have given (v, u)
-    earlier.  When u is itself a cut vertex of g, G - u is disconnected
-    and the pairs (u, v) are tested one by one; some (u, v) then separates
-    unless u = n - 2, so that test runs at most once in full.  O(n(n + m)).
+    For each u in ascending order, one `_low_points` pass over G - u
+    finds its cut vertices, and the least cut vertex v > u gives the pair;
+    a cut vertex v < u of G - u would have given (v, u) earlier.  When u
+    is itself a cut vertex of g, G - u is disconnected and the pairs
+    (u, v) are tested one by one; some (u, v) then separates unless
+    u = n - 2, so that test runs at most once in full.  O(n(n + m)).
 
     g is connected when vertex 0 has a neighbour and G - 0 is connected;
     only a disconnected G - 0 costs a component search.
@@ -165,8 +141,8 @@ def _least_separating_pair(g: Graph) -> tuple[int, int] | None:
     if not g._nbrs[0]:
         return None
     for u in range(g.n):
-        cut = _cut_vertices_without(g, u)
-        if cut is None:
+        _, cut, trees = _low_points(g, u)
+        if trees > 1:
             if u == 0 and not g.is_connected():
                 return None
             for v in range(u + 1, g.n):
@@ -183,7 +159,7 @@ def is_three_connected(g: Graph) -> bool:
     """True iff g is connected, has >= 4 vertices, and no vertex pair
     disconnects it.  Graphs on < 4 vertices report False by convention.
 
-    One cut-vertex DFS of G - u per vertex u: O(n(n + m)).
+    One `_low_points` pass over G - u per vertex u: O(n(n + m)).
     """
     if g.n < 4 or not g.is_connected():
         return False
@@ -207,10 +183,11 @@ def find_two_separation(g: Graph) -> Separation | None:
     vertex cut.  The middle is the lexicographically least pair u < v
     that disconnects g, and the first side is the component of G - {u, v}
     holding its smallest vertex, plus u and v; the second side holds the
-    other components, plus u and v.  Returns None when g is 3-connected
-    (caller error), disconnected or too small.
+    other components, plus u and v.  Returns None when no pair separates:
+    g is 3-connected, disconnected or has fewer than 4 vertices, so on a
+    connected g with 4 or more vertices None means 3-connected.
 
-    One cut-vertex DFS of G - u per vertex u: O(n(n + m)).
+    One `_low_points` pass over G - u per vertex u: O(n(n + m)).
     """
     if g.n < 4:
         return None

@@ -151,45 +151,39 @@ class Graph:
         vs = list(vertices)
         return all(self.has_edge(a, b) for a, b in combinations(vs, 2))
 
+    def _bfs_forest(self) -> tuple[list[int], list[list[int]]]:
+        """One BFS per component, from its smallest vertex over the sorted
+        neighbours: the depth parity of every vertex, and the components
+        as sorted vertex lists ordered by smallest vertex."""
+        parity = [-1] * self.n
+        comps = []
+        for s in range(self.n):
+            if parity[s] != -1:
+                continue
+            parity[s] = 0
+            queue = [s]
+            for x in queue:
+                p = parity[x] ^ 1
+                for y in self._nbrs[x]:
+                    if parity[y] == -1:
+                        parity[y] = p
+                        queue.append(y)
+            queue.sort()
+            comps.append(queue)
+        return parity, comps
+
     def connected_components(self) -> list[list[int]]:
         """Components as sorted vertex lists, ordered by smallest vertex."""
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        stack.append(y)
-            comps.append(sorted(comp))
-        return comps
+        return self._bfs_forest()[1]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1
 
     def is_bipartite(self) -> bool:
-        color = [-1] * self.n
-        for s in range(self.n):
-            if color[s] != -1:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
-                    if color[y] == -1:
-                        color[y] = color[x] ^ 1
-                        stack.append(y)
-                    elif color[y] == color[x]:
-                        return False
-        return True
+        """Bipartite iff the BFS depth parities 2-colour every edge: a
+        proper 2-colouring of a component is unique up to a swap."""
+        parity = self._bfs_forest()[0]
+        return all(parity[u] != parity[v] for u, v in self._edges)
 
 
 def identify_vertices(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:

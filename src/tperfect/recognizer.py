@@ -121,8 +121,10 @@ class _Run:
         self.parity_queries = 0
         self.theta_rules = 0
 
-    def log(self, rule: str, origins, vertices, detail: dict | None = None):
-        scope = tuple(sorted(tuple(sorted(origins[v])) for v in sorted(vertices)))
+    def log(self, rule: str, origins, detail: dict | None = None):
+        """Record a rule applied to the whole current graph: its scope is
+        the sorted origins of all its vertices."""
+        scope = tuple(sorted(tuple(sorted(o)) for o in origins))
         self.trace.append(TraceEntry(rule, scope, detail or {}))
 
     def parity(self, g: Graph, u: int, v: int) -> tuple[bool, bool]:
@@ -168,26 +170,17 @@ def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
     # line graphs are settled through their root graph
     if root is not None:
         if root.root.max_degree() >= 4:
-            run.log(
-                "line-graph-root-degree",
-                origins,
-                range(g.n),
-                {"max_degree": root.root.max_degree()},
-            )
+            run.log("line-graph-root-degree", origins, {"max_degree": root.root.max_degree()})
             return False
         verdict = has_skewed_theta(root.root)
         run.theta_rules += len(verdict.trace)
-        run.log(
-            "line-graph-root-theta",
-            origins,
-            range(g.n),
-            {"outcome": verdict.outcome, "root_n": root.root.n},
-        )
+        detail = {"outcome": verdict.outcome, "root_n": root.root.n}
+        run.log("line-graph-root-theta", origins, detail)
         return not verdict.contains
 
     dec = blocks(g)
     if len(dec.blocks) > 1:
-        run.log("block-split", origins, range(g.n), {"blocks": len(dec.blocks)})
+        run.log("block-split", origins, {"blocks": len(dec.blocks)})
         for blk in dec.blocks:
             sub, old_to_new = g.induced(blk)
             sub_origins = tuple(origins[old] for old in old_to_new)
@@ -196,19 +189,19 @@ def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
         return True
 
     if g.max_degree() >= 5:
-        run.log("degree-screen", origins, range(g.n), {"max_degree": g.max_degree()})
+        run.log("degree-screen", origins, {"max_degree": g.max_degree()})
         return False
     fixed = _exceptional_forms().get((g.n, g.m))
     if fixed is not None and canonical_form(g) == fixed[1]:
         name, _, good = fixed
         rule = "exceptional-t-perfect" if good else "exceptional-t-imperfect"
-        run.log(rule, origins, range(g.n), {"graph": name})
+        run.log(rule, origins, {"graph": name})
         return good
     check(g.n >= 4, "blocks below four vertices are line graphs")
     # one search for the least separating pair: none means 3-connected
     sep = find_two_separation(g)
     if sep is None:
-        run.log("three-connected", origins, range(g.n), {"n": g.n})
+        run.log("three-connected", origins, {"n": g.n})
         return False
     u, v = sorted(sep.cut)
     side1, side2 = sorted(sep.g1_vertices), sorted(sep.g2_vertices)
@@ -218,7 +211,7 @@ def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
 
     if g.has_edge(u, v):
         # complete separator: both sides decide independently
-        run.log("complete-separator-split", origins, range(g.n), pair_detail)
+        run.log("complete-separator-split", origins, pair_detail)
         children = [(g1, map1), (g2, map2)]
     else:
         parities = (
@@ -227,9 +220,9 @@ def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
         )
         case, built = _reduced_sides((g1, map1), (g2, map2), u, v, parities)
         if case == "mixed-parities-both-sides":
-            run.log(case, origins, range(g.n), pair_detail)
+            run.log(case, origins, pair_detail)
             return False
-        run.log(case, origins, range(g.n), {**pair_detail, "parities": list(parities)})
+        run.log(case, origins, {**pair_detail, "parities": list(parities)})
         children = built
 
     for child, old_to_new in children:

@@ -95,22 +95,12 @@ def make_view(g: Graph, labels) -> OddEdgeView:
 
 def spanning_tree_view(g: Graph) -> OddEdgeView:
     """Phase one's start state: each component 2-coloured by BFS depth
-    parity from its smallest vertex.  Tree edges are even-class, so the
-    even graph has g's components, and the odd-class edges are the
-    non-tree edges closing odd fundamental cycles: at most m - n + 1 on a
-    connected graph, and none exactly when g is bipartite."""
-    labels = [-1] * g.n
-    for s in range(g.n):
-        if labels[s] != -1:
-            continue
-        labels[s] = 0
-        queue = [s]
-        for x in queue:
-            for y in g.sorted_neighbors(x):
-                if labels[y] == -1:
-                    labels[y] = labels[x] ^ 1
-                    queue.append(y)
-    return make_view(g, labels)
+    parity from its smallest vertex, read off `Graph._bfs_forest`.  Tree
+    edges are even-class, so the even graph has g's components, and the
+    odd-class edges are the non-tree edges closing odd fundamental cycles:
+    at most m - n + 1 on a connected graph, and none exactly when g is
+    bipartite."""
+    return make_view(g, g._bfs_forest()[0])
 
 
 @dataclass(frozen=True)
@@ -579,28 +569,27 @@ def _opposite_side_branch_pair(g: Graph, labels, cubic: list[int]) -> tuple[int,
 
 
 def _linking_paths_cut(h: Graph, view: OddEdgeView) -> ThetaFound | EdgeCut:
-    """With exactly two odd-class edges o1, o2 in a 2-connected subcubic
-    h, either certify a theta or return a minimal exact cut containing
-    both odd edges and at most two others: link o1 and o2 by disjoint
-    paths p1, p2 and take a minimum edge cut between them.
+    """With exactly two disjoint odd-class edges o1, o2 in a 2-connected
+    subcubic h, either certify a theta or return a minimal exact cut
+    containing both odd edges and at most two others: link o1 and o2 by
+    disjoint paths p1, p2 and take a minimum edge cut between them.
 
     Five edge-disjoint connections between the two linking paths force
     three pairwise-crossing disjoint connections, two of which attach to
     the first path in equal classes and close a skewed theta.
+
+    Odd edges sharing a vertex s never get here: `_few_odd_block` runs
+    `small_flip_cut` first, and it always finds a cut for them.  If
+    deg(s) = 2, removing o1 and o2 isolates s, so {o1, o2} is the cut.
+    If deg(s) = 3, either h - {o1, o2} is disconnected and {o1, o2} is
+    the cut, or the third edge at s is a bridge of h - {o1, o2} on both
+    paths joining the ends of o1 and of o2, since s has no other edge
+    there.  Overlapping terminals raise `GraphInputError` in the flow.
     """
     o1, o2 = view.odd_edges
-    shared = set(o1) & set(o2)
-    if shared:
-        (s,) = shared
-        ends = (set(o1) | set(o2)) - {s}
-        a, c = sorted(ends)
-        p1 = bfs_path(h, {a}, {c}, banned_vertices={s})
-        check(p1 is not None, "2-connected graph keeps far ends linked without s")
-        p2 = [s]
-    else:
-        paths = vertex_disjoint_paths(h, set(o1), set(o2), 2)
-        check(paths is not None, "2-connected graph links the odd edges disjointly")
-        p1, p2 = paths
+    paths = vertex_disjoint_paths(h, set(o1), set(o2), 2)
+    check(paths is not None, "2-connected graph links the odd edges disjointly")
+    p1, p2 = paths
     cut = min_edge_cut_between(h, set(p1), set(p2))
     check(o1 in cut.edges and o2 in cut.edges, "cut separates the odd edge endpoints")
     if len(cut.edges) >= 5:

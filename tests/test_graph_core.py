@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -28,10 +29,18 @@ from tperfect.core import (
     squared_cycle_minus_vertex,
     theta_graph,
 )
-from tperfect.core.connectivity import Separation
+from tperfect.core.connectivity import Separation, _low_points
 from tperfect.errors import GraphInputError
 from tperfect.linegraph import line_graph, recognize_line_graph
 from tperfect.theta import make_view
+
+
+def nx_graph(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
 
 
 def brute_two_connected(g, vertices):
@@ -280,12 +289,60 @@ class TestLinearPassConnectivity:
         ]
         answers = []
         for g in cases:
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
-            answers.append(nx.node_connectivity(h) >= 3)
+            answers.append(nx.node_connectivity(nx_graph(g)) >= 3)
             assert is_three_connected(g) == answers[-1], g.edges
         assert answers.count(True) >= 40 and answers.count(False) >= 40
+
+
+class TestSharedSearches:
+    """The two searches behind the connectivity questions, against
+    networkx: `_low_points` stepping over a vertex, and `Graph._bfs_forest`
+    behind the components, bipartiteness and the spanning-tree colouring."""
+
+    def test_low_points_without_a_vertex_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rnd = random.Random(2024)
+        seen = Counter()
+        for _ in range(600):
+            n = rnd.randint(2, 16)
+            g = random_graph(rnd, n, rnd.uniform(1.0, 4.0) / n)
+            cuts_of_g = blocks(g).cut_vertices
+            for u in range(g.n):
+                raw, cut, trees = _low_points(g, u)
+                h = nx_graph(g)
+                h.remove_node(u)
+                assert cut == set(nx.articulation_points(h)), (g.edges, u)
+                assert (trees == 1) == nx.is_connected(h)
+                assert trees == nx.number_connected_components(h)
+                want = [sorted(b) for b in nx.biconnected_components(h)]
+                want += [[v] for v in nx.isolates(h)]
+                assert sorted(map(sorted, raw)) == sorted(want), (g.edges, u)
+                seen["cut vertex of g"] += u in cuts_of_g
+                seen["isolated vertex in G - u"] += nx.number_of_isolates(h) > 0
+                seen["G - u connected"] += trees == 1
+                seen["G - u disconnected"] += trees > 1
+        assert min(seen.values()) >= 500, seen
+
+    def test_bfs_forest_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rnd = random.Random(77)
+        cases = [Graph(0), Graph(1), Graph(4), Graph(5, [(1, 3)])]
+        for _ in range(800):
+            n = rnd.randint(1, 24)
+            cases.append(random_graph(rnd, n, rnd.uniform(0.5, 3.0) / n))
+        kinds = Counter()
+        for g in cases:
+            h = nx_graph(g)
+            comps = g.connected_components()
+            assert comps == sorted(sorted(c) for c in nx.connected_components(h))
+            assert g.is_bipartite() == nx.is_bipartite(h), g.edges
+            assert g.is_connected() == (g.n <= 1 or nx.is_connected(h))
+            parity = g._bfs_forest()[0]
+            for comp in comps:
+                depth = nx.single_source_shortest_path_length(h, comp[0])
+                assert [parity[v] for v in comp] == [depth[v] % 2 for v in comp]
+            kinds[len(comps) > 1, g.is_bipartite()] += 1
+        assert min(kinds.values()) >= 50 and len(kinds) == 4, kinds
 
 
 class TestFundamentalCycles:
@@ -355,12 +412,6 @@ class TestIsomorphism:
 
     def test_agrees_with_networkx(self):
         nx = pytest.importorskip("networkx")
-
-        def nx_graph(g):
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
-            return h
 
         def agree(g, h):
             got = is_isomorphic_small(g, h)

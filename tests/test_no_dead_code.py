@@ -1,7 +1,8 @@
-"""Every module-level function and class in `src/tperfect` is named
-somewhere in the project outside its own definition: in the package, the
-tests, the demos or the benchmark harness.  A name that only its own
-definition mentions is code that nothing calls or reads."""
+"""Every module-level function and class in `src/tperfect`, and every
+method of those classes but the dunder ones, is named somewhere in the
+project outside its own definition: in the package, the tests, the demos
+or the benchmark harness.  A name that only its own definition mentions
+is code that nothing calls or reads."""
 
 import ast
 import re
@@ -12,6 +13,21 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tperfect"
 SEARCHED = ("src", "tests", "demos", "perfbench")
 WORD = re.compile(r"\w+")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree: ast.Module):
+    """Top-level definitions, then the non-dunder methods of each class."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, DEFINITIONS) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
 
 
 def test_every_top_level_definition_is_named_elsewhere():
@@ -24,9 +40,7 @@ def test_every_top_level_definition_is_named_elsewhere():
     unnamed = []
     for path in sorted(PACKAGE.rglob("*.py")):
         lines = texts[path].splitlines()
-        for node in ast.parse(texts[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for node in definitions(ast.parse(texts[path])):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             own = "\n".join(lines[first - 1:node.end_lineno])
             inside = sum(1 for w in WORD.findall(own) if w == node.name)

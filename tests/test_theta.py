@@ -107,6 +107,7 @@ class TestFlip:
 
 class TestSpanningTreeView:
     def test_start_state_on_random_blocks(self):
+        nx = pytest.importorskip("networkx")
         rnd = random.Random(5150)
         kinds = Counter()
         while sum(kinds.values()) < 500:
@@ -123,6 +124,8 @@ class TestSpanningTreeView:
             assert view.even_graph().is_connected()
             assert len(view.odd_edges) <= h.m - h.n + 1
             assert (len(view.odd_edges) == 0) == h.is_bipartite()
+            # an independent reference: the view and is_bipartite share one BFS
+            assert h.is_bipartite() == nx.is_bipartite(nx.Graph(h.edges))
             kinds[h.is_bipartite()] += 1
         assert kinds[True] >= 50 and kinds[False] >= 50
 
@@ -338,6 +341,24 @@ class TestSmallFlipCut:
             kinds[len(expected.edges) if expected else None] += 1
         # {o1, o2} alone, {o1, o2} plus a bridge, and no small cut
         assert kinds[2] >= 100 and kinds[3] >= 500 and kinds[None] >= 500, kinds
+
+    def test_odd_edges_sharing_a_vertex_always_have_a_small_cut(self):
+        # the proof in `_linking_paths_cut`: phase two never sends it two
+        # odd edges with a shared end, and its flow would refuse them
+        rnd = random.Random(5)
+        adjacent = 0
+        for h, view in two_odd_edge_instances(rnd, 4000):
+            o1, o2 = view.odd_edges
+            if set(o1) & set(o2):
+                assert small_flip_cut(h, view) is not None, (h.edges, view.labels)
+                adjacent += 1
+        assert adjacent >= 1000
+        g = cycle_graph(4)
+        view = make_view(g, [0, 0, 0, 1])
+        assert view.odd_edges == ((0, 1), (1, 2))
+        assert small_flip_cut(g, view).edges == {(0, 1), (1, 2)}
+        with pytest.raises(GraphInputError):
+            theta._linking_paths_cut(g, view)
 
     def test_bridge_separating_one_odd_edge_is_skipped(self):
         # h - {o1, o2} is a path 0-1-2-3-4-5; the bridge (0, 1) separates
