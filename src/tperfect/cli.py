@@ -15,18 +15,20 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from functools import partial
 
 from .core.graph import Graph
 from .corpus import KINDS, generate_corpus
 from .errors import GraphInputError, NotClawFreeError, SizeGuardError
-from .io import GraphDocument, graph_to_graph6, parse, serialize
+from .io import edge_list_to_graph, graph6_to_graph, graph_to_graph6
 from .linegraph import recognize_line_graph
 from .oracle import (
     has_skewed_prism_bruteforce,
     has_skewed_theta_bruteforce,
     is_t_perfect_bruteforce,
 )
+from .parity import MAX_EXHAUSTIVE_N
 from .recognizer import is_t_perfect
 from .theta import has_skewed_theta
 
@@ -43,32 +45,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class Report:
-    command: str
-    input_name: str
-    n: int | None  # None when the graph could not be parsed
-    m: int | None
-    result: dict
-    config: dict = field(default_factory=dict)
-    timing_ms: float = 0.0
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "input": {"name": self.input_name, "n": self.n, "m": self.m},
-            "result": self.result,
-            "config": self.config,
-            "timing_ms": round(self.timing_ms, 3),
-        }
-        return json.dumps(payload, sort_keys=True)
+_READERS = {"graph6": graph6_to_graph, "edge-list": edge_list_to_graph}
+_SUFFIXES = {".g6": "graph6", ".el": "edge-list"}
 
 
-def _read_graphs(path: str, fmt: str | None) -> list[tuple[str, GraphDocument]]:
-    """The named documents of an input file, one per graph.  They are
-    parsed one at a time by `_each_graph`, so a malformed graph6 line
+def _read_graphs(args) -> list[tuple[str, Callable[[], Graph], dict]]:
+    """The `_each_graph` items of the input file `args.file`, one per
+    graph: a graph6 file gives one per nonblank line, so a malformed line
     costs only its own report.  A file that cannot be read as UTF-8 text
     (missing, a directory, undecodable) is a GraphInputError."""
+    path, fmt = args.file, args.format
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -79,28 +65,21 @@ def _read_graphs(path: str, fmt: str | None) -> list[tuple[str, GraphDocument]]:
         raise GraphInputError(f"cannot read {path!r}: {exc}") from None
     name = "<stdin>" if path == "-" else path
     if fmt is None:
-        if path.endswith(".g6"):
-            fmt = "graph6"
-        elif path.endswith(".el"):
-            fmt = "edge-list"
-        else:
+        fmt = next((f for suffix, f in _SUFFIXES.items() if path.endswith(suffix)), None)
+        if fmt is None:
             raise GraphInputError(
                 f"cannot infer format of {path!r}; pass --format"
             )
-    if fmt == "graph6":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise GraphInputError("no graphs in input")
-        return [
-            (f"{name}[{i}]" if len(lines) > 1 else name,
-             GraphDocument("graph6", ln))
-            for i, ln in enumerate(lines)
-        ]
-    return [(name, GraphDocument("edge-list", text))]
-
-
-def _emit(report: Report, out) -> None:
-    print(report.to_json(), file=out)
+    read = _READERS[fmt]
+    if fmt == "edge-list":
+        return [(name, partial(read, text), {})]
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise GraphInputError("no graphs in input")
+    return [
+        (f"{name}[{i}]" if len(lines) > 1 else name, partial(read, ln), {})
+        for i, ln in enumerate(lines)
+    ]
 
 
 _GRAPH_ERRORS = (NotClawFreeError, SizeGuardError, GraphInputError)
@@ -115,25 +94,34 @@ def _error_result(exc: Exception) -> dict:
     return {"error": kind, "message": str(exc)}
 
 
-def _each_graph(command: str, args, out, decide, error_fields=None) -> int:
-    """Parse and decide every graph of the input file in turn, one report
-    each.  `decide(g)` returns (result, exit code); a graph whose parse or
-    decision raises gets an error report (plus `error_fields`) and exit
-    code 2, and the run goes on.  Returns the worst exit code."""
-    worst = 0
-    for name, doc in _read_graphs(args.file, args.format):
+def _each_graph(args, items, decide, out) -> list[int]:
+    """Load and decide each `(name, load, fields)` item in turn, writing
+    one JSON report line each.  `decide(g)` returns (result, exit code);
+    an item whose load or decision raises gets an error result and exit
+    code 2, and the run goes on.  `fields` are merged into the result
+    either way.  Returns the exit codes in item order."""
+    config = {k: v for k, v in vars(args).items()
+              if k in ("format", "max_exhaustive_n", "trace")}
+    codes = []
+    for name, load, fields in items:
         t0 = time.perf_counter()
         n = m = None
         try:
-            g = parse(doc)
+            g = load()
             n, m = g.n, g.m
             result, code = decide(g)
         except _GRAPH_ERRORS as exc:
-            result, code = {**_error_result(exc), **(error_fields or {})}, INPUT_ERROR
-        _emit(Report(command, name, n, m, result, _config_dict(args),
-                     (time.perf_counter() - t0) * 1000), out)
-        worst = max(worst, code)
-    return worst
+            result, code = _error_result(exc), INPUT_ERROR
+        report = {
+            "command": args.command,
+            "input": {"name": name, "n": n, "m": m},
+            "result": {**result, **fields},
+            "config": config,
+            "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
+        }
+        print(json.dumps(report, sort_keys=True), file=out)
+        codes.append(code)
+    return codes
 
 
 def _cmd_recognize(args, out) -> int:
@@ -144,7 +132,7 @@ def _cmd_recognize(args, out) -> int:
             result["certificate"] = [e.to_json() for e in decision.certificate]
         return result, 0 if decision.t_perfect else 1
 
-    return _each_graph("recognize", args, out, decide)
+    return max(_each_graph(args, _read_graphs(args), decide, out))
 
 
 def _cmd_skewed_theta(args, out) -> int:
@@ -155,7 +143,7 @@ def _cmd_skewed_theta(args, out) -> int:
             result["trace"] = [[rule, info] for rule, info in verdict.trace]
         return result, 1 if verdict.contains else 0
 
-    return _each_graph("skewed-theta", args, out, decide)
+    return max(_each_graph(args, _read_graphs(args), decide, out))
 
 
 def _cmd_line_root(args, out) -> int:
@@ -182,75 +170,66 @@ def _cmd_line_root(args, out) -> int:
             "root_edge_to_vertex": mapping,
         }, 0
 
-    return _each_graph("line-root", args, out, decide)
+    return max(_each_graph(args, _read_graphs(args), decide, out))
+
+
+# question -> (brute-force oracle, the answer that is the positive finding)
+_ORACLES = {
+    "tperfect": (is_t_perfect_bruteforce, False),
+    "theta": (has_skewed_theta_bruteforce, True),
+    "prism": (has_skewed_prism_bruteforce, True),
+}
 
 
 def _cmd_oracle(args, out) -> int:
-    def decide(g):
-        if args.question == "tperfect":
-            answer = is_t_perfect_bruteforce(g)
-            positive = not answer
-        elif args.question == "theta":
-            answer = has_skewed_theta_bruteforce(g)
-            positive = answer
-        else:
-            answer = has_skewed_prism_bruteforce(g)
-            positive = answer
-        return {"question": args.question, "answer": bool(answer)}, 1 if positive else 0
+    oracle, positive = _ORACLES[args.question]
 
-    return _each_graph("oracle", args, out, decide, {"question": args.question})
+    def decide(g):
+        answer = bool(oracle(g))
+        return {"answer": answer}, 1 if answer == positive else 0
+
+    items = [(name, load, {"question": args.question})
+             for name, load, _ in _read_graphs(args)]
+    return max(_each_graph(args, items, decide, out))
 
 
 def _cmd_gen(args, out) -> int:
     graphs = generate_corpus(args.kind, args.count, args.seed,
                              n_min=args.min_n, n_max=args.max_n)
     for g in graphs:
-        print(serialize(g, "graph6"), file=out)
+        print(graph_to_graph6(g), file=out)
     return 0
 
 
 def _cmd_corpus_check(args, out) -> int:
-    """Recognizer against oracle on each sample.  A sample that either
-    side refuses gets an error record like `_each_graph`'s, counts as
-    refused, and the sweep goes on; the exit code is the worst outcome."""
+    """Recognizer against oracle on each sample: exit code 0 where they
+    agree, 1 where they disagree, and 2 where either side refuses, with
+    an error record like any other command's.  The summary line counts
+    those codes; the exit code is the worst of them."""
     graphs = generate_corpus(
         "random-clawfree-via-linegraph", args.samples, args.seed,
         n_min=4, n_max=args.max_n,
     )
-    counts = {"agree": 0, "disagree": 0, "refused": 0, "t-perfect": 0}
-    for i, g in enumerate(graphs):
-        t0 = time.perf_counter()
-        result = {"graph6": graph_to_graph6(g)}
-        try:
-            mine = is_t_perfect(g, args.max_exhaustive_n).t_perfect
-            truth = is_t_perfect_bruteforce(g)
-        except _GRAPH_ERRORS as exc:
-            result.update(_error_result(exc))
-            counts["refused"] += 1
-        else:
-            result.update({"recognizer": "t-perfect" if mine else "not-t-perfect",
-                           "oracle": "t-perfect" if truth else "not-t-perfect",
-                           "agree": mine == truth})
-            counts["agree" if mine == truth else "disagree"] += 1
-            counts["t-perfect"] += mine
-        _emit(Report("corpus-check", f"sample[{i}]", g.n, g.m, result,
-                     _config_dict(args), (time.perf_counter() - t0) * 1000), out)
-    decided = counts["agree"] + counts["disagree"]
-    print(f"# corpus-check samples={len(graphs)} agree={counts['agree']} "
-          f"disagree={counts['disagree']} refused={counts['refused']} "
-          f"t-perfect={counts['t-perfect']} "
-          f"not-t-perfect={decided - counts['t-perfect']}", file=out)
-    if counts["refused"]:
-        return INPUT_ERROR
-    return 1 if counts["disagree"] else 0
+    t_perfect = 0
 
+    def decide(g):
+        nonlocal t_perfect
+        mine = is_t_perfect(g).t_perfect
+        truth = is_t_perfect_bruteforce(g)
+        t_perfect += mine
+        return {"recognizer": "t-perfect" if mine else "not-t-perfect",
+                "oracle": "t-perfect" if truth else "not-t-perfect",
+                "agree": mine == truth}, 0 if mine == truth else 1
 
-def _config_dict(args) -> dict:
-    cfg = {}
-    for key in ("max_exhaustive_n", "format", "trace"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    return cfg
+    items = [(f"sample[{i}]", lambda g=g: g, {"graph6": graph_to_graph6(g)})
+             for i, g in enumerate(graphs)]
+    codes = _each_graph(args, items, decide, out)
+    agree, disagree = codes.count(0), codes.count(1)
+    print(f"# corpus-check samples={len(graphs)} agree={agree} "
+          f"disagree={disagree} refused={codes.count(INPUT_ERROR)} "
+          f"t-perfect={t_perfect} not-t-perfect={agree + disagree - t_perfect}",
+          file=out)
+    return max(codes)
 
 
 def _build_parser() -> _Parser:
@@ -259,19 +238,19 @@ def _build_parser() -> _Parser:
 
     def add_input(p):
         p.add_argument("file", help="input file (.g6/.el or - for stdin)")
-        p.add_argument("--format", choices=("graph6", "edge-list"))
+        p.add_argument("--format", choices=tuple(_READERS))
 
     p = sub.add_parser("recognize", help="decide t-perfection")
     add_input(p)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--max-exhaustive-n", type=int, default=20)
+    p.add_argument("--max-exhaustive-n", type=int, default=MAX_EXHAUSTIVE_N)
     p = sub.add_parser("skewed-theta", help="skewed theta in a subcubic graph")
     add_input(p)
     p.add_argument("--trace", action="store_true")
     add_input(sub.add_parser("line-root", help="reconstruct a line-graph root"))
     p = sub.add_parser("oracle", help="brute-force ground truth")
     add_input(p)
-    p.add_argument("--question", choices=("tperfect", "theta", "prism"),
+    p.add_argument("--question", choices=tuple(_ORACLES),
                    required=True)
     p = sub.add_parser("gen", help="emit a seeded corpus as graph6 lines")
     p.add_argument("--kind", choices=KINDS, required=True)
@@ -284,7 +263,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-exhaustive-n", type=int, default=20)
     return parser
 
 

@@ -7,8 +7,6 @@ vi ~ vj iff |i-j| <= 2 modulo n.
 
 from __future__ import annotations
 
-import re
-
 from ..errors import GraphInputError
 from .graph import Graph, edge_key
 
@@ -84,42 +82,27 @@ def prism_graph() -> Graph:
                      (0, 3), (1, 4), (2, 5)])
 
 
-_SQ = re.compile(r"^C2\((\d+)\)$")
-_SQ_MINUS_V = re.compile(r"^C2\((\d+)\)-minus-vertex$")
+# catalogue name -> constructor: the forbidden t-minors, the exceptional
+# t-perfect graphs, and the claw
+_NAMED = {
+    "K4": lambda: complete_graph(4),
+    "W5": wheel_5,
+    "C2(7)": lambda: squared_cycle(7),
+    "C2(10)": lambda: squared_cycle(10),
+    "C2(6)-minus-edge-v1v6": squared_cycle_6_minus_edge,
+    "C2(7)-minus-vertex": lambda: squared_cycle_minus_vertex(7),
+    "C2(10)-minus-vertex": lambda: squared_cycle_minus_vertex(10),
+    "claw": claw,
+}
+
+#: The named corpus, in catalogue order.
+NAMED_CATALOGUE = tuple(_NAMED)
 
 
 def make_named(name: str) -> Graph:
-    """Construct a graph by its catalogue name.
-
-    Accepted: K4, W5, claw, C2(n), C2(n)-minus-vertex,
-    C2(6)-minus-edge-v1v6.
-    """
-    if name == "K4":
-        return complete_graph(4)
-    if name == "W5":
-        return wheel_5()
-    if name == "claw":
-        return claw()
-    if name == "C2(6)-minus-edge-v1v6":
-        return squared_cycle_6_minus_edge()
-    m = _SQ.match(name)
-    if m:
-        return squared_cycle(int(m.group(1)))
-    m = _SQ_MINUS_V.match(name)
-    if m:
-        return squared_cycle_minus_vertex(int(m.group(1)))
-    raise GraphInputError(f"unknown named graph {name!r}")
-
-
-#: The named corpus: forbidden t-minors, the exceptional t-perfect graphs,
-#: and the claw.
-NAMED_CATALOGUE = (
-    "K4",
-    "W5",
-    "C2(7)",
-    "C2(10)",
-    "C2(6)-minus-edge-v1v6",
-    "C2(7)-minus-vertex",
-    "C2(10)-minus-vertex",
-    "claw",
-)
+    """Construct a graph by its `NAMED_CATALOGUE` name."""
+    try:
+        make = _NAMED[name]
+    except KeyError:
+        raise GraphInputError(f"unknown named graph {name!r}") from None
+    return make()

@@ -8,26 +8,13 @@ are kept for human authoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .core.graph import Graph
 from .errors import GraphInputError
 
-FORMATS = ("graph6", "edge-list")
-
 # graph6 character -> its six bits, most significant first
 _SIX_BITS = {chr(v + 63): format(v, "06b") for v in range(64)}
-
-
-@dataclass(frozen=True)
-class GraphDocument:
-    format: str
-    payload: str
-
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise GraphInputError(f"unknown format {self.format!r}")
 
 
 def _encode_n(n: int) -> str:
@@ -126,19 +113,3 @@ def edge_list_to_graph(payload: str) -> Graph:
             raise GraphInputError(f"malformed edge line {ln!r}") from exc
         edges.append((u, v))
     return Graph(n, edges)  # range/loop/duplicate checks live in Graph
-
-
-def parse(doc: GraphDocument) -> Graph:
-    if not doc.payload.strip():
-        raise GraphInputError("empty payload")
-    if doc.format == "graph6":
-        return graph6_to_graph(doc.payload)
-    return edge_list_to_graph(doc.payload)
-
-
-def serialize(g: Graph, fmt: str) -> str:
-    if fmt == "graph6":
-        return graph_to_graph6(g)
-    if fmt == "edge-list":
-        return graph_to_edge_list(g)
-    raise GraphInputError(f"unknown format {fmt!r}")

@@ -31,9 +31,12 @@ class LinkageQuery:
 
 MAX_LINKAGE_N = 64
 
+#: The default cap on the vertex count of one exhaustive induced-path search.
+MAX_EXHAUSTIVE_N = 20
+
 
 def exists_induced_path_with_parity(
-    g: Graph, u: int, v: int, max_exhaustive_n: int = 20
+    g: Graph, u: int, v: int, max_exhaustive_n: int = MAX_EXHAUSTIVE_N
 ) -> tuple[bool, bool]:
     """(odd, even): is there an induced u-v path of odd, of even length?
 

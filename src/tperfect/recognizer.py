@@ -38,7 +38,7 @@ from .core.named import (
 )
 from .errors import NotClawFreeError, check
 from .linegraph import RootMapping, recognize_line_graph
-from .parity import exists_induced_path_with_parity
+from .parity import MAX_EXHAUSTIVE_N, exists_induced_path_with_parity
 from .theta import has_skewed_theta
 
 T_PERFECT = "t-perfect"
@@ -114,7 +114,7 @@ class _Run:
     """Mutable state for one recognition run: the parity-search cap,
     counters, trace."""
 
-    def __init__(self, max_exhaustive_n: int = 20):
+    def __init__(self, max_exhaustive_n: int):
         self.max_exhaustive_n = max_exhaustive_n
         self.trace: list[TraceEntry] = []
         self.decide_calls = 0
@@ -133,7 +133,7 @@ class _Run:
         return exists_induced_path_with_parity(g, u, v, self.max_exhaustive_n)
 
 
-def is_t_perfect(g: Graph, max_exhaustive_n: int = 20) -> Decision:
+def is_t_perfect(g: Graph, max_exhaustive_n: int = MAX_EXHAUSTIVE_N) -> Decision:
     """Decide t-perfection of a claw-free graph.
 
     Raises NotClawFreeError (with witness) on non-claw-free input.  Line

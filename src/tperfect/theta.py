@@ -89,6 +89,8 @@ def make_view(g: Graph, labels) -> OddEdgeView:
     labels = tuple(labels)
     if len(labels) != g.n:
         raise GraphInputError("bipartition must label every vertex")
+    if not set(labels) <= {0, 1}:
+        raise GraphInputError("bipartition labels must be 0 or 1")
     odd = tuple(e for e in g.edges if labels[e[0]] == labels[e[1]])
     return OddEdgeView(g, labels, odd)
 

@@ -11,7 +11,7 @@ from tperfect.core import (
     squared_cycle,
     squared_cycle_minus_vertex,
 )
-from tperfect.io import graph_to_graph6, serialize
+from tperfect.io import graph_to_edge_list, graph_to_graph6
 from tperfect.linegraph import line_graph
 
 
@@ -31,7 +31,7 @@ def files(tmp_path):
     out["k4"] = tmp_path / "k4.g6"
     out["k4"].write_text(graph_to_graph6(complete_graph(4)) + "\n")
     out["good"] = tmp_path / "c7mv.el"
-    out["good"].write_text(serialize(squared_cycle_minus_vertex(7), "edge-list"))
+    out["good"].write_text(graph_to_edge_list(squared_cycle_minus_vertex(7)))
     out["claw"] = tmp_path / "claw.el"
     out["claw"].write_text("4 3\n0 1\n0 2\n0 3\n")
     out["oct"] = tmp_path / "oct.g6"
@@ -69,6 +69,7 @@ class TestExitCodes:
             ["skewed-theta", files["theta"], "--parity-backend", "exhaustive"],
             ["corpus-check", "--samples", "1", "--parity-backend", "exhaustive"],
             ["skewed-theta", files["theta"], "--max-exhaustive-n", "30"],
+            ["corpus-check", "--max-exhaustive-n", "30"],
         ):
             code, text = run(argv)
             assert code == 64 and text == "", argv
@@ -76,6 +77,47 @@ class TestExitCodes:
     def test_missing_file(self):
         code, _ = run(["recognize", "/nonexistent/path.g6"])
         assert code == 2
+
+    def test_stdin_with_format(self, files, monkeypatch):
+        with open(files["good"]) as fh:
+            monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+        code, text = run(["recognize", "-", "--format", "edge-list"])
+        assert code == 0
+        (rec,) = reports(text)
+        assert rec["input"] == {"name": "<stdin>", "n": 6, "m": 10}
+        assert rec["config"]["format"] == "edge-list"
+        assert rec["result"]["verdict"] == "t-perfect"
+
+    def test_format_that_cannot_be_inferred(self, tmp_path):
+        p = tmp_path / "k4.txt"
+        p.write_text(graph_to_graph6(complete_graph(4)) + "\n")
+        code, text = run(["recognize", str(p)])
+        assert code == 2
+        assert json.loads(text) == {
+            "error": f"cannot infer format of {str(p)!r}; pass --format"
+        }
+        code, text = run(["recognize", str(p), "--format", "graph6"])
+        assert code == 1
+        assert reports(text)[0]["result"]["verdict"] == "not-t-perfect"
+
+    def test_blank_graph6_file(self, tmp_path):
+        p = tmp_path / "blank.g6"
+        p.write_text("\n  \n\n")
+        code, text = run(["recognize", str(p)])
+        assert code == 2
+        assert json.loads(text) == {"error": "no graphs in input"}
+
+    def test_empty_edge_list_file(self, tmp_path):
+        p = tmp_path / "empty.el"
+        p.write_text("")
+        code, text = run(["recognize", str(p)])
+        assert code == 2
+        (rec,) = reports(text)
+        assert rec["input"] == {"name": str(p), "n": None, "m": None}
+        assert rec["result"] == {
+            "error": "input-error",
+            "message": "empty edge-list payload",
+        }
 
     def test_directory_is_an_input_error(self, tmp_path):
         code, text = run(["recognize", str(tmp_path), "--format", "graph6"])

@@ -9,12 +9,11 @@ from itertools import combinations
 from tperfect.core import Graph, complete_graph, squared_cycle
 from tperfect.errors import GraphInputError
 from tperfect.io import (
-    GraphDocument,
     _decode_n,
+    edge_list_to_graph,
     graph6_to_graph,
+    graph_to_edge_list,
     graph_to_graph6,
-    parse,
-    serialize,
 )
 
 
@@ -59,28 +58,28 @@ def _decode_outcome(decode, payload):
 
 class TestEdgeList:
     def test_triangle(self):
-        g = parse(GraphDocument("edge-list", "3 3\n0 1\n1 2\n2 0\n"))
+        g = edge_list_to_graph("3 3\n0 1\n1 2\n2 0\n")
         assert g == complete_graph(3)
 
     def test_loop_rejected(self):
         with pytest.raises(GraphInputError):
-            parse(GraphDocument("edge-list", "2 1\n0 0\n"))
+            edge_list_to_graph("2 1\n0 0\n")
 
     def test_duplicate_rejected(self):
         with pytest.raises(GraphInputError):
-            parse(GraphDocument("edge-list", "2 2\n0 1\n1 0\n"))
+            edge_list_to_graph("2 2\n0 1\n1 0\n")
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphInputError):
-            parse(GraphDocument("edge-list", "2 1\n0 5\n"))
+            edge_list_to_graph("2 1\n0 5\n")
 
     def test_malformed_header(self):
         with pytest.raises(GraphInputError):
-            parse(GraphDocument("edge-list", "3\n0 1\n"))
+            edge_list_to_graph("3\n0 1\n")
 
     def test_wrong_edge_count(self):
         with pytest.raises(GraphInputError):
-            parse(GraphDocument("edge-list", "3 2\n0 1\n"))
+            edge_list_to_graph("3 2\n0 1\n")
 
 
 class TestGraph6:
@@ -125,25 +124,23 @@ class TestGraph6:
     def test_round_trip_bit_exact(self, n, mask):
         pairs = list(combinations(range(n), 2))
         g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-        s = serialize(g, "graph6")
-        assert parse(GraphDocument("graph6", s)) == g
-        # serialize again: byte-identical
-        assert serialize(parse(GraphDocument("graph6", s)), "graph6") == s
+        s = graph_to_graph6(g)
+        assert graph6_to_graph(s) == g
+        # encode again: byte-identical
+        assert graph_to_graph6(graph6_to_graph(s)) == s
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 10), st.integers(0, 2**30 - 1))
     def test_edge_list_round_trip(self, n, mask):
         pairs = list(combinations(range(n), 2))
         g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-        assert parse(GraphDocument("edge-list", serialize(g, "edge-list"))) == g
+        assert edge_list_to_graph(graph_to_edge_list(g)) == g
 
     def test_empty_payload(self):
-        with pytest.raises(GraphInputError):
-            parse(GraphDocument("graph6", "  "))
-
-    def test_unknown_format(self):
-        with pytest.raises(GraphInputError):
-            GraphDocument("dot", "x")
+        with pytest.raises(GraphInputError, match="empty graph6 payload"):
+            graph6_to_graph("  ")
+        with pytest.raises(GraphInputError, match="empty edge-list payload"):
+            edge_list_to_graph(" \n\n")
 
     def test_word_level_decoder_matches_bit_by_bit_reference(self):
         rnd = random.Random(606)
@@ -191,5 +188,5 @@ class TestGraph6:
         corpus += generate_corpus("random-subcubic", 40, seed=6, n_min=4, n_max=14)
         corpus += generate_corpus("random-clawfree-via-linegraph", 40, seed=6)
         for g in corpus:
-            for fmt in ("graph6", "edge-list"):
-                assert parse(GraphDocument(fmt, serialize(g, fmt))) == g
+            assert graph6_to_graph(graph_to_graph6(g)) == g
+            assert edge_list_to_graph(graph_to_edge_list(g)) == g

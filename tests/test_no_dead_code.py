@@ -1,8 +1,8 @@
-"""Every module-level function and class in `src/tperfect`, and every
-method of those classes but the dunder ones, is named somewhere in the
-project outside its own definition: in the package, the tests, the demos
-or the benchmark harness.  A name that only its own definition mentions
-is code that nothing calls or reads."""
+"""Every module-level function, class and constant in `src/tperfect`,
+and every method of those classes but the dunder ones, is named somewhere
+in the project outside its own definition: in the package, the tests, the
+demos or the benchmark harness.  A name that only its own definition
+mentions is code that nothing calls or reads."""
 
 import ast
 import re
@@ -16,18 +16,27 @@ WORD = re.compile(r"\w+")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree: ast.Module):
-    """Top-level definitions, then the non-dunder methods of each class."""
+    """(name, node) for each top-level definition and each non-dunder
+    method of a class, and for each non-dunder name a top-level
+    assignment binds."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not is_dunder(target.id):
+                    yield target.id, node
         if not isinstance(node, DEFINITIONS):
             continue
-        yield node
+        yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, DEFINITIONS) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
-                    yield item
+                if isinstance(item, DEFINITIONS) and not is_dunder(item.name):
+                    yield item.name, item
 
 
 def test_every_top_level_definition_is_named_elsewhere():
@@ -40,10 +49,11 @@ def test_every_top_level_definition_is_named_elsewhere():
     unnamed = []
     for path in sorted(PACKAGE.rglob("*.py")):
         lines = texts[path].splitlines()
-        for node in definitions(ast.parse(texts[path])):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        for name, node in definitions(ast.parse(texts[path])):
+            decorators = getattr(node, "decorator_list", [])
+            first = min([node.lineno] + [d.lineno for d in decorators])
             own = "\n".join(lines[first - 1:node.end_lineno])
-            inside = sum(1 for w in WORD.findall(own) if w == node.name)
-            if counts[node.name] == inside:
-                unnamed.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+            inside = sum(1 for w in WORD.findall(own) if w == name)
+            if counts[name] == inside:
+                unnamed.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unnamed, "defined but named nowhere else:\n" + "\n".join(unnamed)

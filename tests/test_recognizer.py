@@ -19,6 +19,7 @@ from tperfect.corpus import generate_corpus
 from tperfect.errors import NotClawFreeError
 from tperfect.linegraph import line_graph, recognize_line_graph
 from tperfect.oracle import is_t_perfect_bruteforce
+from tperfect.parity import MAX_EXHAUSTIVE_N
 from tperfect.recognizer import (
     Decision,
     _decide,
@@ -191,7 +192,7 @@ def claw_first_decision(g):
     witness = find_claw(g)
     if witness is not None:
         raise NotClawFreeError(witness.centre, witness.leaves)
-    run = _Run()
+    run = _Run(MAX_EXHAUSTIVE_N)
     origins = tuple(frozenset([v]) for v in range(g.n))
     verdict = g.n == 0 or _decide(run, g, origins, recognize_line_graph(g))
     stats = {

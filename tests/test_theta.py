@@ -63,6 +63,16 @@ class TestFlip:
         with pytest.raises(GraphInputError):
             flip(view, cut)
 
+    def test_make_view_checks_its_labels(self):
+        # the bipartition written 0/2 leaves two odd edges for phase two,
+        # where flip's `^= 1` would make a third colour
+        g = theta_graph(2, 3, 3)
+        labels = spanning_tree_view(g).labels
+        with pytest.raises(GraphInputError, match="labels must be 0 or 1"):
+            make_view(g, [2 * x for x in labels])
+        with pytest.raises(GraphInputError, match="must label every vertex"):
+            make_view(g, labels[:-1])
+
     def test_make_view_and_flip_build_no_graph(self, monkeypatch):
         # only triads reads the even graph, so it is built on request
         g = cycle_graph(4)
