@@ -1,7 +1,6 @@
 """Foundational graph type and classical subroutines."""
 
 from .connectivity import (
-    BlockDecomposition,
     Separation,
     blocks,
     find_two_separation,
@@ -34,7 +33,6 @@ from .named import (
 )
 
 __all__ = [
-    "BlockDecomposition",
     "EdgeCut",
     "Graph",
     "NAMED_CATALOGUE",

@@ -13,15 +13,6 @@ from ..errors import check
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks (maximal 2-connected subgraphs, bridges, isolated vertices)
-    and cut vertices."""
-
-    blocks: tuple[frozenset[int], ...]
-    cut_vertices: frozenset[int]
-
-
 def _low_points(g: Graph, skip: int | None = None) -> tuple[list[set[int]], set[int], int]:
     """The blocks, cut vertices and number of components of g, or of
     G - skip when `skip` is given: one iterative Hopcroft-Tarjan
@@ -92,21 +83,21 @@ def _low_points(g: Graph, skip: int | None = None) -> tuple[list[set[int]], set[
     return raw_blocks, cut, trees
 
 
-def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected components from one `_low_points` pass.  Isolated
-    vertices become singleton blocks so the blocks cover V as well as E.
-    Blocks are ordered by smallest contained vertex, then lexicographic.
-    O(n + m).
+def blocks(g: Graph) -> tuple[frozenset[int], ...]:
+    """The blocks (maximal 2-connected subgraphs, bridges, isolated
+    vertices) from one `_low_points` pass.  Isolated vertices become
+    singleton blocks so the blocks cover V as well as E.  Blocks are
+    ordered by smallest contained vertex, then lexicographic.  O(n + m).
     """
-    raw_blocks, cut, _ = _low_points(g)
+    raw_blocks = _low_points(g)[0]
     ordered = sorted(raw_blocks, key=lambda b: (min(b), sorted(b)))
-    return BlockDecomposition(tuple(frozenset(b) for b in ordered), frozenset(cut))
+    return tuple(frozenset(b) for b in ordered)
 
 
 def is_two_connected(g: Graph) -> bool:
     """2-connected in the strict sense: at least 3 vertices, connected,
     no cut vertex (one block, since the blocks cover every vertex)."""
-    return g.n >= 3 and len(blocks(g).blocks) == 1
+    return g.n >= 3 and len(blocks(g)) == 1
 
 
 def _first_side(g: Graph, u: int, v: int) -> set[int]:

@@ -115,11 +115,13 @@ class Graph:
     # -- transformations (all return relabel maps where labels change) ---
 
     def with_edge(self, u: int, v: int) -> "Graph":
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise GraphInputError(f"edge ({u},{v}) out of range for n={self.n}")
         if self.has_edge(u, v):
             raise GraphInputError(f"edge ({u},{v}) already present")
         if u == v:
             raise GraphInputError(f"loop at vertex {u}")
-        # validated build: it checks the range and sorts the appended edge in
+        # validated build: it sorts the appended edge in
         return Graph(self.n, self._edges + (edge_key(u, v),))
 
     def without_edge(self, u: int, v: int) -> "Graph":
@@ -214,16 +216,15 @@ def bfs_path(
     sources: Iterable[int],
     targets: Iterable[int],
     banned_vertices: Iterable[int] = (),
-    banned_edges: Iterable[Edge] = (),
 ) -> list[int] | None:
-    """Shortest path from any source to any target, avoiding bans.
+    """Shortest path from any source to any target, avoiding the banned
+    vertices.
 
     Deterministic: BFS scans sorted sources and sorted neighbors.
     """
     src = sorted(set(sources))
     tgt = set(targets)
     dead_v = set(banned_vertices)
-    dead_e = {edge_key(u, v) for u, v in banned_edges}
     parent: dict[int, int | None] = {}
     queue = []
     for s in src:
@@ -238,7 +239,7 @@ def bfs_path(
         x = queue[head]
         head += 1
         for y in g.sorted_neighbors(x):
-            if y in parent or y in dead_v or edge_key(x, y) in dead_e:
+            if y in parent or y in dead_v:
                 continue
             parent[y] = x
             if y in tgt:

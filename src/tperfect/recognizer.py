@@ -178,10 +178,10 @@ def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
         run.log("line-graph-root-theta", origins, detail)
         return not verdict.contains
 
-    dec = blocks(g)
-    if len(dec.blocks) > 1:
-        run.log("block-split", origins, {"blocks": len(dec.blocks)})
-        for blk in dec.blocks:
+    parts = blocks(g)
+    if len(parts) > 1:
+        run.log("block-split", origins, {"blocks": len(parts)})
+        for blk in parts:
             sub, old_to_new = g.induced(blk)
             sub_origins = tuple(origins[old] for old in old_to_new)
             if not _decide(run, sub, sub_origins, recognize_line_graph(sub)):

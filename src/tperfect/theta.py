@@ -10,7 +10,8 @@ the non-tree edges closing odd fundamental cycles.  It then repeatedly
 either certifies a skewed theta or finds an edge cut with more odd- than
 even-class edges and flips one side of it, strictly shrinking the odd-edge
 count; `triads` reads three fundamental cycles off one BFS tree of the even
-graph by walking up parents.  Once at most two odd-class edges remain,
+graph by walking up parents, splits trees with one edge-component search,
+and walks the tri-odd ring in place.  Once at most two odd-class edges remain,
 phase two decides directly; since a cycle is odd exactly when it carries an
 odd number of odd-class edges, every skewed theta contains one of them.
 Two are flipped down to one when the O(m) `small_flip_cut` finds a cut of
@@ -163,20 +164,6 @@ def crossing_on_cycle(cycle: list[int], p: list[int], q: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _split_tree_at_edge(n: int, tree_edges: set[Edge], e: Edge):
-    """Split a tree's edge set (on vertices below n) at one of its edges;
-    returns the two sides as (vertex set, edge set) pairs containing e's
-    endpoints."""
-    rest = set(tree_edges) - {e}
-    comps = Graph._trusted(n, sorted(rest)).connected_components()
-    sides = []
-    for seed in e:
-        comp = set(next(c for c in comps if seed in c))
-        sides.append((comp, {f for f in rest if f[0] in comp}))
-    check(not (sides[0][0] & sides[1][0]), "edge removal must split the tree")
-    return sides[0], sides[1]
-
-
 def _prune_to_required(vertices: set[int], edges: set[Edge], required: set[int]):
     """Repeatedly delete leaves that are not required endpoints; yields the
     minimal subtree spanning the required vertices it contains."""
@@ -256,33 +243,26 @@ def triads(
             return ThetaFound("edge-disjoint-odd-fundamental-cycles")
 
     gp = view.even_graph()
+    all_edges = cycle_edges[o1] | cycle_edges[o2] | cycle_edges[o3]
     common = cycle_edges[o1] & cycle_edges[o2] & cycle_edges[o3]
     if common:
+        # The three tree paths share e, so their union splits at e into two
+        # trees, e[0]'s side first.  Neither is a lone end x of e: each
+        # cycle would then leave x through its odd edge, so x would meet e
+        # and all three odd edges, degree 4 in a subcubic graph.
         e = min(common)
-        union_tree = (
-            cycle_edges[o1] | cycle_edges[o2] | cycle_edges[o3]
-        ) - set(odds)
-        side1, side2 = _split_tree_at_edge(h.n, union_tree, e)
-        return _tree_pair_cut(h, gp, view, side1, side2, odds)
+        sides = _edge_components(h.n, all_edges - set(odds) - {e})
+        check(len(sides) == 2, "the union tree splits at e into two trees")
+        if e[0] not in sides[0][0]:
+            sides.reverse()
+        return _tree_pair_cut(h, gp, view, sides[0], sides[1], odds)
 
     # the unique cycle through all three odd edges: exactly the edges lying
     # in a single fundamental cycle
-    all_edges = cycle_edges[o1] | cycle_edges[o2] | cycle_edges[o3]
-    ring = {
-        e
-        for e in all_edges
-        if sum(1 for o in odds if e in cycle_edges[o]) == 1
-    }
-    cycle_order = _assemble_cycle(ring)
-    check(
-        all(o in ring for o in odds),
-        "tri-odd cycle must pass through all three odd edges",
-    )
-    arcs = _arcs_between(cycle_order, odds)
-    check(len(arcs) == 3, "removing the three odd edges leaves three arcs")
-    arcs.sort(key=lambda arc: min(arc))
+    ring = {e for e in all_edges if sum(e in cycle_edges[o] for o in odds) == 1}
+    cycle_order, arcs = _ring_arcs(ring, odds)
     s1 = arcs[0]
-    others = set(arcs[1][0:]) | set(arcs[2][0:])
+    others = set(arcs[1]) | set(arcs[2])
 
     cut6 = min_edge_cut_between(gp, set(s1), others)
     check(len(cut6.edges) >= 1, "even graph is connected here")
@@ -297,7 +277,6 @@ def triads(
 
     paths = edge_disjoint_paths(gp, set(s1), others, 2)
     check(paths is not None, "two even connections exist once no single edge separates")
-    target_sets = {2: set(arcs[1]), 3: set(arcs[2])}
     p = _trim_xy_path(paths[0], set(s1), others)
     q = _trim_xy_path(paths[1], set(s1), others)
     p, q = _align_connection_pair(gp, s1, arcs[1], arcs[2], p, q)
@@ -309,7 +288,7 @@ def triads(
     # re-run the two-tree analysis on the resulting components
     p1, q1 = p[0], q[0]
     check(p1 != q1 and p1 in s1 and q1 in s1, "both connections start on the first arc")
-    i, j = sorted((s1.index(p1), s1.index(q1)))
+    i = min(s1.index(p1), s1.index(q1))
     e_cut = edge_key(s1[i], s1[i + 1])
     pieces = ring - set(odds) - {e_cut}
     union = pieces | set(path_edges(p)) | set(path_edges(q))
@@ -346,42 +325,33 @@ def _tree_cycle_edges(parent: list[int], depth: list[int], e: Edge) -> set[Edge]
     return edges
 
 
-def _assemble_cycle(ring: set[Edge]) -> list[int]:
+def _ring_arcs(ring: set[Edge], odds) -> tuple[list[int], list[list[int]]]:
     """The ring's vertices in cyclic order, from its least vertex towards
-    that vertex's smaller ring neighbour: the path around the ring that
-    avoids the edge to its larger one.  The ring is one cycle exactly
-    when that path exists and has as many vertices as the ring has edges.
-    """
-    ring_graph = Graph._trusted(max(b for _, b in ring) + 1, sorted(ring))
-    start = min(a for a, _ in ring)
-    last = ring_graph.sorted_neighbors(start)[-1]
-    order = bfs_path(ring_graph, {start}, {last}, banned_edges=[(start, last)])
-    check(order is not None and len(order) == len(ring), "ring must be a single cycle")
-    return order
-
-
-def _arcs_between(cycle_order: list[int], odds) -> list[list[int]]:
-    length = len(cycle_order)
-    odd_set = set(odds)
-    boundary = [
-        i
-        for i in range(length)
-        if edge_key(cycle_order[i], cycle_order[(i + 1) % length]) in odd_set
-    ]
-    check(len(boundary) == len(odd_set), "every odd edge lies on the cycle once")
-    arcs = []
-    for k in range(len(boundary)):
-        start = (boundary[k] + 1) % length
-        end = boundary[(k + 1) % len(boundary)]
-        arc = []
-        i = start
-        while True:
-            arc.append(cycle_order[i])
-            if i == end:
-                break
-            i = (i + 1) % length
-        arcs.append(arc)
-    return arcs
+    its smaller ring neighbour, and the three arcs that the three odd
+    edges cut it into, each in that order, sorted by least vertex.  One
+    walk round the ring; it must be one cycle through every odd edge."""
+    nbrs: dict[int, list[int]] = {}
+    for a, b in ring:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    check(all(len(ns) == 2 for ns in nbrs.values()), "ring must be a single cycle")
+    start = min(nbrs)
+    order = [start]
+    prev, cur = start, min(nbrs[start])
+    while cur != start:
+        order.append(cur)
+        a, b = nbrs[cur]
+        prev, cur = cur, (b if a == prev else a)
+    check(len(order) == len(ring), "ring must be a single cycle")
+    arcs: list[list[int]] = [[]]
+    for a, b in zip(order, order[1:] + order[:1]):
+        arcs[-1].append(a)
+        if edge_key(a, b) in odds:
+            arcs.append([])
+    check(len(arcs) == 4, "the tri-odd cycle passes through all three odd edges")
+    arcs[0] = arcs.pop() + arcs[0]  # the arc across the closing edge
+    arcs.sort(key=min)
+    return order, arcs
 
 
 def _edge_components(n: int, edges: set[Edge]):
@@ -449,7 +419,7 @@ def decide_few_odd_edges(h: Graph, view: OddEdgeView) -> ThetaVerdict:
     if len(view.odd_edges) > 2:
         raise GraphInputError("dispatcher expects at most two odd-class edges")
     trace: list[tuple[str, dict]] = []
-    for blk in blocks(h).blocks if view.odd_edges else ():
+    for blk in blocks(h) if view.odd_edges else ():
         if len(blk) < 3:
             continue
         sub, sview = h, view
@@ -642,21 +612,17 @@ def _two_odd_block(h: Graph, view: OddEdgeView, f: EdgeCut) -> ThetaVerdict:
     e1, e2 = sorted(f.edges - {o1, o2})
 
     # single-edge-removal probes: afterwards every theta uses all of f
-    for o_probe in (o1, o2):
-        probe = h.without_edge(*o_probe)
-        verdict = decide_few_odd_edges(probe, make_view(probe, view.labels))
-        trace.append(("probe-without-odd-edge", {"edge": list(o_probe)}))
-        trace.extend(verdict.trace)
-        if verdict.contains:
-            return ThetaVerdict(True, tuple(trace))
-    for e_probe in (e1, e2):
-        probe = h.without_edge(*e_probe)
-        cand = exact_cut(probe, f.side_a)
+    for edge in (o1, o2, e1, e2):
+        probe = h.without_edge(*edge)
         pview = make_view(probe, view.labels)
-        flipped = flip(pview, cand)
-        check(len(flipped.odd_edges) == 1, "probe flip leaves one odd edge")
-        verdict = decide_few_odd_edges(probe, flipped)
-        trace.append(("probe-without-even-edge", {"edge": list(e_probe)}))
+        if edge in (o1, o2):
+            rule = "probe-without-odd-edge"
+        else:
+            rule = "probe-without-even-edge"
+            pview = flip(pview, exact_cut(probe, f.side_a))
+            check(len(pview.odd_edges) == 1, "probe flip leaves one odd edge")
+        verdict = decide_few_odd_edges(probe, pview)
+        trace.append((rule, {"edge": list(edge)}))
         trace.extend(verdict.trace)
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))
@@ -694,7 +660,7 @@ def small_flip_cut(h: Graph, view: OddEdgeView) -> EdgeCut | None:
     o1, o2 = view.odd_edges
     rest = h.without_edges((o1, o2))
     if rest.is_connected():
-        bridges = {(min(b), max(b)) for b in blocks(rest).blocks if len(b) == 2}
+        bridges = {(min(b), max(b)) for b in blocks(rest) if len(b) == 2}
         for x, y in (o1, o2):
             bridges &= set(path_edges(bfs_path(rest, {x}, {y})))
         if not bridges:
@@ -807,8 +773,8 @@ def has_skewed_theta(h: Graph) -> ThetaVerdict:
     if not whole.odd_edges:
         return ThetaVerdict(False, (("bipartite", {"n": h.n, "m": h.m}),))
     trace: list[tuple[str, dict]] = []
-    dec = blocks(h)
-    for blk in dec.blocks:
+    parts = blocks(h)
+    for blk in parts:
         if len(blk) < 5:
             continue  # a skewed theta needs five vertices
         sub = h.induced(blk)[0] if len(blk) < h.n else h
@@ -829,5 +795,5 @@ def has_skewed_theta(h: Graph) -> ThetaVerdict:
         if verdict.contains:
             return ThetaVerdict(True, tuple(trace))
         trace.append(("no-remaining-odd-structure", {"n": sub.n, "m": sub.m}))
-    trace.append(("all-blocks-clear", {"blocks": len(dec.blocks)}))
+    trace.append(("all-blocks-clear", {"blocks": len(parts)}))
     return ThetaVerdict(False, tuple(trace))

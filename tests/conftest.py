@@ -76,7 +76,7 @@ def two_odd_edge_instances(rnd, count):
             g.n,
             [e for e in g.edges if e in (e1, e2) or e not in odd and rnd.random() >= drop],
         )
-        blk = next(b for b in blocks(h0).blocks if set(e1) <= b)
+        blk = next(b for b in blocks(h0) if set(e1) <= b)
         if not set(e2) <= blk:
             continue
         h, old_to_new = h0.induced(blk)

@@ -67,6 +67,12 @@ class TestGraphType:
         with pytest.raises(GraphInputError):
             Graph(2, [(0, 2)])
 
+    def test_added_edge_out_of_range_is_rejected_in_either_order(self):
+        g = path_graph(3)
+        for u, v in ((0, 5), (5, 0), (-1, 2), (2, -1)):
+            with pytest.raises(GraphInputError, match="out of range"):
+                g.with_edge(u, v)
+
     def test_adjacency_is_symmetric(self):
         g = Graph(4, [(0, 1), (2, 3), (1, 2)])
         for u, v in g.edges:
@@ -123,43 +129,43 @@ class TestTrustedBuilds:
 
 class TestBlocks:
     def test_path_has_bridge_blocks(self):
-        dec = blocks(path_graph(3))
-        assert set(dec.blocks) == {frozenset({0, 1}), frozenset({1, 2})}
-        assert dec.cut_vertices == {1}
+        g = path_graph(3)
+        assert set(blocks(g)) == {frozenset({0, 1}), frozenset({1, 2})}
+        assert _low_points(g)[1] == {1}
 
     def test_bowtie_two_triangles(self):
         # derived oracle: brute-force 2-connectivity of every candidate set
         bow = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        dec = blocks(bow)
-        assert set(dec.blocks) == {frozenset({0, 1, 2}), frozenset({2, 3, 4})}
-        assert dec.cut_vertices == {2}
-        for blk in dec.blocks:
+        parts = blocks(bow)
+        assert set(parts) == {frozenset({0, 1, 2}), frozenset({2, 3, 4})}
+        assert _low_points(bow)[1] == {2}
+        for blk in parts:
             assert brute_two_connected(bow, blk)
 
     def test_cycle_is_one_block(self):
-        dec = blocks(cycle_graph(5))
-        assert dec.blocks == (frozenset(range(5)),)
-        assert not dec.cut_vertices
+        assert blocks(cycle_graph(5)) == (frozenset(range(5)),)
+        assert not _low_points(cycle_graph(5))[1]
 
     def test_isolated_vertices_are_singleton_blocks(self):
         g = Graph(3, [(0, 1)])
-        assert frozenset({2}) in set(blocks(g).blocks)
+        assert frozenset({2}) in blocks(g)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**28 - 1), st.integers(2, 8))
     def test_every_edge_in_exactly_one_block(self, mask, n):
         pairs = list(combinations(range(n), 2))
         g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-        dec = blocks(g)
+        parts = blocks(g)
+        cut = _low_points(g)[1]
         for e in g.edges:
-            homes = [b for b in dec.blocks if set(e) <= b]
+            homes = [b for b in parts if set(e) <= b]
             assert len(homes) == 1
         # pairwise intersections are single cut vertices
-        for i, b1 in enumerate(dec.blocks):
-            for b2 in dec.blocks[i + 1 :]:
+        for i, b1 in enumerate(parts):
+            for b2 in parts[i + 1 :]:
                 shared = b1 & b2
                 assert len(shared) <= 1
-                assert all(c in dec.cut_vertices for c in shared)
+                assert all(c in cut for c in shared)
 
 
 class TestConnectivityOrders:
@@ -268,7 +274,7 @@ class TestLinearPassConnectivity:
             elif want is not None:
                 outcomes["separated"] += 1
                 # G - u is disconnected, so the per-pair scan answered
-                if min(want.cut) in blocks(g).cut_vertices:
+                if min(want.cut) in _low_points(g)[1]:
                     least_pair_at_cut_vertex += 1
             elif n >= 4:
                 outcomes["three-connected"] += 1
@@ -306,7 +312,7 @@ class TestSharedSearches:
         for _ in range(600):
             n = rnd.randint(2, 16)
             g = random_graph(rnd, n, rnd.uniform(1.0, 4.0) / n)
-            cuts_of_g = blocks(g).cut_vertices
+            cuts_of_g = _low_points(g)[1]
             for u in range(g.n):
                 raw, cut, trees = _low_points(g, u)
                 h = nx_graph(g)
@@ -510,8 +516,7 @@ class TestIdentify:
 
     def test_cycle_nonadjacent_gives_cut_vertex(self):
         g, mapping = identify_vertices(cycle_graph(5), 0, 2)
-        dec = blocks(g)
-        assert mapping[0] in dec.cut_vertices
+        assert mapping[0] in _low_points(g)[1]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**15 - 1), st.integers(3, 6))

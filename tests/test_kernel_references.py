@@ -1,10 +1,11 @@
 """Kernel routines against the implementations they replaced, kept here
 verbatim in behaviour as references: the set-level line-graph kernel and
 the vertex-stack block decomposition (same roots, same edge-to-vertex maps,
-None on every disconnected input, same `BlockDecomposition`, same
+None on every disconnected input, same blocks and cut vertices, same
 errors), the searches now routed through `bfs_path` and
-`Graph.connected_components` (same linkage paths, fundamental cycles, tree
-sides, edge components and ring orders, same errors), the separation side
+`Graph.connected_components` (same linkage paths, fundamental cycles and
+edge components, same errors), the ring walk that replaced a path search
+round the ring (same ring orders and arcs, same errors), the separation side
 now found by one search over the adjacency, the BFS spanning tree and
 fundamental cycles that `triads`' parent walk replaced (same tree, reached
 set and cycle edges), the exhaustive two-odd-edge split that one flow per
@@ -25,16 +26,15 @@ from conftest import (
 from tperfect import theta
 from tperfect.core import Graph, complete_graph, cycle_graph
 from tperfect.core import flow as flows
-from tperfect.core.connectivity import BlockDecomposition, _first_side, blocks
+from tperfect.core.connectivity import _first_side, _low_points, blocks
 from tperfect.core.graph import edge_key, path_edges
 from tperfect.corpus import random_subcubic_graph
 from tperfect.errors import GraphInputError, InternalInvariantError, SizeGuardError
 from tperfect.parity import LinkageQuery, find_two_disjoint_paths, has_two_disjoint_odd_cycles
 from tperfect.theta import (
-    _assemble_cycle,
     _edge_components,
     _one_side_graph,
-    _split_tree_at_edge,
+    _ring_arcs,
     decide_few_odd_edges,
 )
 from tperfect.linegraph import (
@@ -209,7 +209,7 @@ def ref_blocks(g):
                         if u != root or root_children > 1:
                             cut.add(u)
     ordered = sorted(raw_blocks, key=lambda b: (min(b), sorted(b)))
-    return BlockDecomposition(tuple(frozenset(b) for b in ordered), frozenset(cut))
+    return tuple(frozenset(b) for b in ordered), cut
 
 
 # -- corpora --------------------------------------------------------------
@@ -325,22 +325,27 @@ class TestVerifyAgainst:
         assert not RootMapping(rm.root, short).verify_against(g)
 
 
+def blocks_and_cut_vertices(g):
+    return blocks(g), _low_points(g)[1]
+
+
 class TestBlocksKernel:
     def test_matches_edge_stack_reference(self):
         rnd = random.Random(14)
         for g in corpus(14, 3000):
-            assert blocks(g) == ref_blocks(g), g.edges
+            assert blocks_and_cut_vertices(g) == ref_blocks(g), g.edges
         for _ in range(300):
             root = random_root(rnd, rnd.randint(2, 60))
-            assert blocks(root) == ref_blocks(root), root.edges
+            assert blocks_and_cut_vertices(root) == ref_blocks(root), root.edges
 
     def test_matches_reference_on_trees_and_long_cycles(self):
         rnd = random.Random(15)
         for n in (2, 3, 50, 400):
             tree = Graph(n, [(rnd.randrange(v), v) for v in range(1, n)])
-            assert blocks(tree) == ref_blocks(tree)
-            assert len(blocks(tree).blocks) == n - 1
-            assert blocks(cycle_graph(n + 1)) == ref_blocks(cycle_graph(n + 1))
+            assert blocks_and_cut_vertices(tree) == ref_blocks(tree)
+            assert len(blocks(tree)) == n - 1
+            cycle = cycle_graph(n + 1)
+            assert blocks_and_cut_vertices(cycle) == ref_blocks(cycle)
 
 
 # -- references: the hand-rolled searches before `bfs_path` ----------------
@@ -441,28 +446,6 @@ def ref_fundamental_cycle(g, tree, e):
     return path
 
 
-def ref_split_tree_at_edge(tree_edges, e):
-    rest = set(tree_edges) - {e}
-    adj = {}
-    for a, b in rest:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    sides = []
-    for seed in e:
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        sides.append((comp, {f for f in rest if f[0] in comp}))
-    if sides[0][0] & sides[1][0]:
-        raise InternalInvariantError("edge removal must split the tree")
-    return sides[0], sides[1]
-
-
 def ref_edge_components(edges):
     comps = []
     adj = {}
@@ -507,6 +490,36 @@ def ref_assemble_cycle(ring):
     return order
 
 
+def ref_arcs_between(cycle_order, odds):
+    length = len(cycle_order)
+    odd_set = set(odds)
+    boundary = [
+        i
+        for i in range(length)
+        if edge_key(cycle_order[i], cycle_order[(i + 1) % length]) in odd_set
+    ]
+    if len(boundary) != len(odd_set):
+        raise InternalInvariantError("every odd edge lies on the cycle once")
+    arcs = []
+    for k in range(len(boundary)):
+        start = (boundary[k] + 1) % length
+        end = boundary[(k + 1) % len(boundary)]
+        arc = []
+        i = start
+        while True:
+            arc.append(cycle_order[i])
+            if i == end:
+                break
+            i = (i + 1) % length
+        arcs.append(arc)
+    return sorted(arcs, key=min)
+
+
+def ref_ring_arcs(ring, odds):
+    order = ref_assemble_cycle(ring)
+    return order, ref_arcs_between(order, odds)
+
+
 def ref_first_side(g, u, v):
     start = min({0, 1, 2} - {u, v})
     seen = {start, u, v}
@@ -525,13 +538,6 @@ def result_or_error(fn, *args):
         return fn(*args)
     except (GraphInputError, SizeGuardError, InternalInvariantError) as exc:
         return (type(exc).__name__, str(exc))
-
-
-def random_tree_edges(rnd, vertices):
-    """A random tree on the given vertices, as an edge set."""
-    order = list(vertices)
-    rnd.shuffle(order)
-    return {edge_key(order[rnd.randrange(i)], order[i]) for i in range(1, len(order))}
 
 
 class TestBfsRoutedSearches:
@@ -619,20 +625,6 @@ class TestBfsRoutedSearches:
             kinds["spanning"] += 1
         assert min(kinds.values()) > 150 and cycles > 3000, (kinds, cycles)
 
-    def test_tree_split_matches_reference(self):
-        rnd = random.Random(18)
-        for _ in range(1500):
-            n = rnd.randint(2, 40)
-            vertices = rnd.sample(range(n), rnd.randint(2, n))
-            tree = random_tree_edges(rnd, vertices)
-            if rnd.random() < 0.1:
-                # a cycle through e: the split check fails in both
-                a, b = rnd.sample(vertices, 2)
-                tree.add(edge_key(a, b))
-            e = rnd.choice(sorted(tree))
-            got = result_or_error(_split_tree_at_edge, n, tree, e)
-            assert got == result_or_error(ref_split_tree_at_edge, tree, e), (n, tree, e)
-
     def test_edge_components_match_reference(self):
         rnd = random.Random(19)
         many = 0
@@ -657,13 +649,38 @@ def random_ring(rnd, n, length):
     return {edge_key(a, b) for a, b in zip(order, order[1:] + order[:1])}
 
 
+def random_odds(rnd, ring):
+    """Three distinct edges of the ring, as the sorted triple `triads` passes."""
+    return tuple(sorted(rnd.sample(sorted(ring), 3)))
+
+
 class TestRingAndSideSearches:
     def test_ring_order_matches_reference(self):
         rnd = random.Random(20)
+        adjacent = 0
         for _ in range(3000):
             n = rnd.randint(3, 60)
             ring = random_ring(rnd, n, rnd.randint(3, n))
-            assert _assemble_cycle(ring) == ref_assemble_cycle(ring), ring
+            odds = random_odds(rnd, ring)
+            order, arcs = _ring_arcs(ring, odds)
+            assert (order, arcs) == ref_ring_arcs(ring, odds), (ring, odds)
+            assert sorted(v for arc in arcs for v in arc) == sorted(order)
+            adjacent += min(map(len, arcs)) == 1
+        # odd edges sharing a vertex leave a one-vertex arc
+        assert adjacent > 300, adjacent
+
+    def test_odd_edges_off_the_ring_fail_in_both(self):
+        rnd = random.Random(24)
+        for _ in range(600):
+            n = rnd.randint(4, 40)
+            ring = random_ring(rnd, n, rnd.randint(3, n - 1))
+            off = edge_key(*rnd.sample(range(n), 2))
+            if off in ring:
+                continue
+            odds = tuple(sorted(rnd.sample(sorted(ring), 2) + [off]))
+            got = error_type_or_result(_ring_arcs, ring, odds)
+            assert got == error_type_or_result(ref_ring_arcs, ring, odds), (ring, odds)
+            assert got == "InternalInvariantError", (ring, odds)
 
     def test_broken_rings_fail_in_both(self):
         # two disjoint cycles, a chord, a path and a pendant edge: the
@@ -683,8 +700,9 @@ class TestRingAndSideSearches:
                 | {edge_key(order[0], order[rnd.randrange(1, len(order))])},
             ]
             for ring in rings:
-                got = error_type_or_result(_assemble_cycle, ring)
-                assert got == error_type_or_result(ref_assemble_cycle, ring), ring
+                odds = random_odds(rnd, ring)
+                got = error_type_or_result(_ring_arcs, ring, odds)
+                assert got == error_type_or_result(ref_ring_arcs, ring, odds), ring
                 assert got == "InternalInvariantError", ring
 
     def test_separation_side_matches_reference(self):

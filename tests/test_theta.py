@@ -126,7 +126,7 @@ class TestSpanningTreeView:
                 # keep the edges across a random bipartition
                 side = [rnd.randint(0, 1) for _ in range(g.n)]
                 g = Graph(g.n, [e for e in g.edges if side[e[0]] != side[e[1]]])
-            blk = max(blocks(g).blocks, key=len)
+            blk = max(blocks(g), key=len)
             if len(blk) < 3:
                 continue
             h, _ = g.induced(blk)
@@ -199,8 +199,7 @@ class TestTriads:
             g = random_subcubic_graph(rnd, rnd.randint(6, 12))
             from tperfect.core.connectivity import blocks
 
-            dec = blocks(g)
-            blk = max(dec.blocks, key=len)
+            blk = max(blocks(g), key=len)
             if len(blk) < 5:
                 continue
             sub, _ = g.induced(blk)
