@@ -1,7 +1,6 @@
 """Foundational graph type and classical subroutines."""
 
 from .connectivity import (
-    Separation,
     blocks,
     find_two_separation,
     is_three_connected,
@@ -36,7 +35,6 @@ __all__ = [
     "EdgeCut",
     "Graph",
     "NAMED_CATALOGUE",
-    "Separation",
     "bfs_path",
     "blocks",
     "claw",

@@ -7,8 +7,6 @@ in place, it gives the cut vertices behind the least separating pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import check
 from .graph import Graph
 
@@ -157,26 +155,16 @@ def is_three_connected(g: Graph) -> bool:
     return _least_separating_pair(g) is None
 
 
-@dataclass(frozen=True)
-class Separation:
-    """Cover of a graph by two proper induced subgraphs."""
+def find_two_separation(g: Graph) -> tuple[int, int, set[int]] | None:
+    """The least order-2 separation of g, as (u, v, first).
 
-    g1_vertices: frozenset[int]
-    g2_vertices: frozenset[int]
-
-    @property
-    def cut(self) -> frozenset[int]:
-        return self.g1_vertices & self.g2_vertices
-
-
-def find_two_separation(g: Graph) -> Separation | None:
-    """A separation of order exactly 2 whose middle {u,v} is a minimum
-    vertex cut.  The middle is the lexicographically least pair u < v
-    that disconnects g, and the first side is the component of G - {u, v}
-    holding its smallest vertex, plus u and v; the second side holds the
-    other components, plus u and v.  Returns None when no pair separates:
-    g is 3-connected, disconnected or has fewer than 4 vertices, so on a
-    connected g with 4 or more vertices None means 3-connected.
+    The pair u < v is the lexicographically least pair that disconnects
+    g, so {u, v} is a minimum vertex cut, and `first` is the component of
+    G - {u, v} holding its smallest vertex.  The two sides are
+    first | {u, v} and the rest of g, both proper.  Returns None when no
+    pair separates: g is 3-connected, disconnected or has fewer than 4
+    vertices, so on a connected g with 4 or more vertices None means
+    3-connected.
 
     One `_low_points` pass over G - u per vertex u: O(n(n + m)).
     """
@@ -187,7 +175,5 @@ def find_two_separation(g: Graph) -> Separation | None:
         return None
     u, v = pair
     first = _first_side(g, u, v)
-    side1 = frozenset(first | {u, v})
-    side2 = frozenset(range(g.n)).difference(first)
-    check(len(side1) < g.n and len(side2) < g.n, "separation sides must be proper")
-    return Separation(side1, side2)
+    check(0 < len(first) < g.n - 2, "separation sides must be proper")
+    return u, v, first

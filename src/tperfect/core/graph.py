@@ -121,8 +121,8 @@ class Graph:
             raise GraphInputError(f"edge ({u},{v}) already present")
         if u == v:
             raise GraphInputError(f"loop at vertex {u}")
-        # validated build: it sorts the appended edge in
-        return Graph(self.n, self._edges + (edge_key(u, v),))
+        # timsort places the one appended edge in a linear pass
+        return Graph._trusted(self.n, sorted(self._edges + (edge_key(u, v),)))
 
     def without_edge(self, u: int, v: int) -> "Graph":
         e = edge_key(u, v)
@@ -137,6 +137,8 @@ class Graph:
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph on `vertices`; returns (graph, old->new map)."""
         keep = sorted(set(vertices))
+        if keep and (keep[0] < 0 or keep[-1] >= self.n):
+            raise GraphInputError(f"vertices {keep[0]}..{keep[-1]} not all in range for n={self.n}")
         old_to_new = {v: i for i, v in enumerate(keep)}
         es = [
             (old_to_new[u], old_to_new[v])
@@ -147,6 +149,8 @@ class Graph:
         return Graph._trusted(len(keep), es), old_to_new
 
     def without_vertex(self, v: int) -> tuple["Graph", dict[int, int]]:
+        if not 0 <= v < self.n:
+            raise GraphInputError(f"vertex {v} out of range for n={self.n}")
         return self.induced(u for u in range(self.n) if u != v)
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
@@ -194,6 +198,8 @@ def identify_vertices(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
     Returns (graph, old->new map); u and v map to the same new index.
     The result is always simple.
     """
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise GraphInputError(f"vertices ({u},{v}) out of range for n={g.n}")
     if u == v:
         raise GraphInputError("cannot identify a vertex with itself")
     keep = [w for w in range(g.n) if w != max(u, v)]

@@ -7,7 +7,9 @@ obstructions settles negatively, three exceptional graphs settle
 positively, any other 3-connected block is t-imperfect, and the remaining
 blocks split along an order-2 separation into two strictly smaller sides
 whose treatment depends on which induced-path parities the separator pair
-admits on each side.
+admits on each side.  Blocks and sides alike are (graph, old->new map)
+children of one loop: each must shrink and gets the line-graph check,
+and only a rootless child is scanned for a claw, as an invariant check.
 
 Every decision carries a certificate: the ordered trace of fired rules,
 each naming the rule, the subgraph it fired on (as original-input vertex
@@ -181,56 +183,45 @@ def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
     parts = blocks(g)
     if len(parts) > 1:
         run.log("block-split", origins, {"blocks": len(parts)})
-        for blk in parts:
-            sub, old_to_new = g.induced(blk)
-            sub_origins = tuple(origins[old] for old in old_to_new)
-            if not _decide(run, sub, sub_origins, recognize_line_graph(sub)):
-                return False
-        return True
-
-    if g.max_degree() >= 5:
-        run.log("degree-screen", origins, {"max_degree": g.max_degree()})
-        return False
-    fixed = _exceptional_forms().get((g.n, g.m))
-    if fixed is not None and canonical_form(g) == fixed[1]:
-        name, _, good = fixed
-        rule = "exceptional-t-perfect" if good else "exceptional-t-imperfect"
-        run.log(rule, origins, {"graph": name})
-        return good
-    check(g.n >= 4, "blocks below four vertices are line graphs")
-    # one search for the least separating pair: none means 3-connected
-    sep = find_two_separation(g)
-    if sep is None:
-        run.log("three-connected", origins, {"n": g.n})
-        return False
-    u, v = sorted(sep.cut)
-    side1, side2 = sorted(sep.g1_vertices), sorted(sep.g2_vertices)
-    g1, map1 = g.induced(side1)
-    g2, map2 = g.induced(side2)
-    pair_detail = {"separator": [sorted(origins[u]), sorted(origins[v])]}
-
-    if g.has_edge(u, v):
-        # complete separator: both sides decide independently
-        run.log("complete-separator-split", origins, pair_detail)
-        children = [(g1, map1), (g2, map2)]
+        children = (g.induced(blk) for blk in parts)
     else:
-        parities = (
-            *run.parity(g1, map1[u], map1[v]),
-            *run.parity(g2, map2[u], map2[v]),
-        )
-        case, built = _reduced_sides((g1, map1), (g2, map2), u, v, parities)
-        if case == "mixed-parities-both-sides":
-            run.log(case, origins, pair_detail)
+        if g.max_degree() >= 5:
+            run.log("degree-screen", origins, {"max_degree": g.max_degree()})
             return False
-        run.log(case, origins, {**pair_detail, "parities": list(parities)})
-        children = built
+        fixed = _exceptional_forms().get((g.n, g.m))
+        if fixed is not None and canonical_form(g) == fixed[1]:
+            name, _, good = fixed
+            rule = "exceptional-t-perfect" if good else "exceptional-t-imperfect"
+            run.log(rule, origins, {"graph": name})
+            return good
+        check(g.n >= 4, "blocks below four vertices are line graphs")
+        # one search for the least separating pair: none means 3-connected
+        sep = find_two_separation(g)
+        if sep is None:
+            run.log("three-connected", origins, {"n": g.n})
+            return False
+        u, v, first = sep
+        sides = [g.induced(first | {u, v}), g.induced(set(range(g.n)) - first)]
+        pair_detail = {"separator": [sorted(origins[u]), sorted(origins[v])]}
+        if g.has_edge(u, v):
+            # complete separator: both sides decide independently
+            run.log("complete-separator-split", origins, pair_detail)
+            children = sides
+        else:
+            parities = tuple(p for sub, mp in sides for p in run.parity(sub, mp[u], mp[v]))
+            case, children = _reduced_sides(sides, u, v, parities)
+            if case == "mixed-parities-both-sides":
+                run.log(case, origins, pair_detail)
+                return False
+            run.log(case, origins, {**pair_detail, "parities": list(parities)})
 
+    # L(root) = child has no claw, so only a rootless child is scanned
     for child, old_to_new in children:
-        child_origins = _compose_origins(origins, old_to_new, child.n)
-        w = find_claw(child)
-        check(w is None, "separation children must stay claw-free")
-        check(child.n < g.n, "separation children must shrink")
-        if not _decide(run, child, child_origins, recognize_line_graph(child)):
+        check(child.n < g.n, "children must shrink")
+        child_root = recognize_line_graph(child)
+        if child_root is None:
+            check(find_claw(child) is None, "children must stay claw-free")
+        if not _decide(run, child, _compose_origins(origins, old_to_new, child.n), child_root):
             return False
     return True
 
@@ -243,39 +234,37 @@ def _compose_origins(origins, old_to_new, child_n):
     return tuple(out)
 
 
-def _reduced_sides(side1, side2, u, v, parities):
+def _reduced_sides(sides, u, v, parities):
     """Case split on induced separator-path parities.
 
-    parities = (odd in side1, even in side1, odd in side2, even in side2).
-    Returns (case name, children) where each child is
-    (graph, old->new map into it); children is None in the mixed case.
+    `sides` are two (graph, old->new map) pairs, and parities = (odd in
+    side 1, even in side 1, odd in side 2, even in side 2).  One rule
+    serves odd, then even: on neither side the sides stay as they are
+    (separation-<parity>-neither-side); on one side alone that side comes
+    first, with u and v identified for odd or joined for even, and the
+    other side gets the other treatment (separation-<parity>-one-side);
+    odd on both sides passes to even, and even on both sides is
+    mixed-parities-both-sides, with children None.  Returns (case name,
+    children).
     """
-    g1, map1 = side1
-    g2, map2 = side2
     o1, e1, o2, e2 = parities
     check(o1 or e1, "a connected side admits an induced separator path")
     check(o2 or e2, "a connected side admits an induced separator path")
 
-    if o1 and e1 and o2 and e2:
-        return "mixed-parities-both-sides", None
-
     def identified(gs, mp):
         merged, mp2 = identify_vertices(gs, mp[u], mp[v])
-        combined = {old: mp2[new] for old, new in mp.items()}
-        return merged, combined
+        return merged, {old: mp2[new] for old, new in mp.items()}
 
     def with_edge(gs, mp):
-        return gs.with_edge(mp[u], mp[v]), dict(mp)
+        return gs.with_edge(mp[u], mp[v]), mp
 
-    if o1 and not o2:
-        return "separation-odd-one-side", [identified(g1, map1), with_edge(g2, map2)]
-    if o2 and not o1:
-        return "separation-odd-one-side", [identified(g2, map2), with_edge(g1, map1)]
-    if not o1 and not o2:
-        return "separation-odd-neither-side", [(g1, dict(map1)), (g2, dict(map2))]
-    if e1 and not e2:
-        return "separation-even-one-side", [with_edge(g1, map1), identified(g2, map2)]
-    if e2 and not e1:
-        return "separation-even-one-side", [with_edge(g2, map2), identified(g1, map1)]
-    check(not e1 and not e2, "remaining case: even paths on neither side")
-    return "separation-even-neither-side", [(g1, dict(map1)), (g2, dict(map2))]
+    for kind, on1, on2, lone_gets, other_gets in (
+        ("odd", o1, o2, identified, with_edge),
+        ("even", e1, e2, with_edge, identified),
+    ):
+        if not (on1 or on2):
+            return f"separation-{kind}-neither-side", sides
+        if on1 != on2:
+            lone, other = sides if on1 else sides[::-1]
+            return f"separation-{kind}-one-side", [lone_gets(*lone), other_gets(*other)]
+    return "mixed-parities-both-sides", None

@@ -29,9 +29,10 @@ from tperfect.core import (
     squared_cycle_minus_vertex,
     theta_graph,
 )
-from tperfect.core.connectivity import Separation, _low_points
+from tperfect.core.connectivity import _low_points
 from tperfect.errors import GraphInputError
 from tperfect.linegraph import line_graph, recognize_line_graph
+from tperfect.recognizer import is_t_perfect
 from tperfect.theta import make_view
 
 
@@ -72,6 +73,21 @@ class TestGraphType:
         for u, v in ((0, 5), (5, 0), (-1, 2), (2, -1)):
             with pytest.raises(GraphInputError, match="out of range"):
                 g.with_edge(u, v)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda g: identify_vertices(g, 0, 5),
+            lambda g: identify_vertices(g, -1, 1),
+            lambda g: g.induced([0, 7]),
+            lambda g: g.induced([-1, 0]),
+            lambda g: g.without_vertex(9),
+        ],
+        ids=["identify-high", "identify-low", "induced-high", "induced-low", "without-vertex"],
+    )
+    def test_transformations_reject_vertices_out_of_range(self, transform):
+        with pytest.raises(GraphInputError, match="range"):
+            transform(Graph(3, [(0, 1), (1, 2)]))
 
     def test_adjacency_is_symmetric(self):
         g = Graph(4, [(0, 1), (2, 3), (1, 2)])
@@ -120,6 +136,27 @@ class TestTrustedBuilds:
                 if mapping is not None:
                     assert_matches_validated(mapping.root)
         assert roots >= 1000
+
+    def test_transformations_and_the_recognizer_make_no_validated_build(self, monkeypatch):
+        patterns = ([2, 1, 1, 2, 1], [2, 1, 2, 1, 1, 1], [1, 2, 1, 1, 2, 1, 1])
+        graphs = [cycle_blowup(sizes) for sizes in patterns]
+        is_t_perfect(squared_cycle(7))  # builds the fixed exceptional graphs once
+        builds = []
+        init = Graph.__init__
+        monkeypatch.setattr(
+            Graph, "__init__", lambda h, *args: builds.append(args) or init(h, *args)
+        )
+        rules = set()
+        for g in graphs:
+            g.with_edge(0, g.n // 2)
+            g.without_edge(*g.edges[0])
+            g.without_edges(g.edges[:3])
+            g.induced(range(1, g.n))
+            identify_vertices(g, 0, g.n // 2)
+            rules.update(e.rule for e in is_t_perfect(g).certificate)
+        # the recognizer reached the sides that gain the separator edge
+        assert rules & {"separation-odd-one-side", "separation-even-one-side"}
+        assert builds == []
 
     def test_sorted_neighbors_is_a_shared_tuple(self):
         g = Graph(4, [(2, 3), (0, 3), (1, 3)])
@@ -188,13 +225,12 @@ class TestConnectivityOrders:
 
     def test_two_triangles_sharing_edge(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-        sep = find_two_separation(g)
-        assert sep.cut == {0, 1}
+        assert find_two_separation(g) == (0, 1, {2})
 
     def test_cycle_separation_is_valid_cut(self):
         g = cycle_graph(6)
-        sep = find_two_separation(g)
-        u, v = sorted(sep.cut)
+        u, v, first = find_two_separation(g)
+        assert (u, v, first) == (0, 2, {1})
         h, _ = g.induced(w for w in range(6) if w not in (u, v))
         assert not h.is_connected()
 
@@ -251,8 +287,7 @@ def pair_scan_two_separation(g):
                 continue
             new_to_old = {i: w for w, i in old_to_new.items()}
             first = {new_to_old[x] for x in comps[0]}
-            rest = {new_to_old[x] for comp in comps[1:] for x in comp}
-            return Separation(frozenset(first | {u, v}), frozenset(rest | {u, v}))
+            return u, v, first
     return None
 
 
@@ -274,7 +309,7 @@ class TestLinearPassConnectivity:
             elif want is not None:
                 outcomes["separated"] += 1
                 # G - u is disconnected, so the per-pair scan answered
-                if min(want.cut) in _low_points(g)[1]:
+                if want[0] in _low_points(g)[1]:
                     least_pair_at_cut_vertex += 1
             elif n >= 4:
                 outcomes["three-connected"] += 1

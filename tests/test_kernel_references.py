@@ -9,15 +9,17 @@ round the ring (same ring orders and arcs, same errors), the separation side
 now found by one search over the adjacency, the BFS spanning tree and
 fundamental cycles that `triads`' parent walk replaced (same tree, reached
 set and cycle edges), the exhaustive two-odd-edge split that one flow per
-side replaced (same verdicts and traces), and the arc-network flow kernel
-that augmenting on the graph's own adjacency replaced (same cuts, paths
-and None results)."""
+side replaced (same verdicts and traces), the six-branch separation case
+split that one symmetric parity rule replaced (same cases, children, maps
+and errors), and the arc-network flow kernel that augmenting on the
+graph's own adjacency replaced (same cuts, paths and None results)."""
 
 import random
 from itertools import combinations
 
 from conftest import (
     bfs_spanning_tree,
+    cycle_blowup,
     glued_two_odd_instances,
     spanning_tree_fundamental_cycle,
     two_odd_edge_instances,
@@ -26,11 +28,12 @@ from conftest import (
 from tperfect import theta
 from tperfect.core import Graph, complete_graph, cycle_graph
 from tperfect.core import flow as flows
-from tperfect.core.connectivity import _first_side, _low_points, blocks
-from tperfect.core.graph import edge_key, path_edges
+from tperfect.core.connectivity import _first_side, _low_points, blocks, find_two_separation
+from tperfect.core.graph import edge_key, identify_vertices, path_edges
 from tperfect.corpus import random_subcubic_graph
-from tperfect.errors import GraphInputError, InternalInvariantError, SizeGuardError
+from tperfect.errors import GraphInputError, InternalInvariantError, SizeGuardError, check
 from tperfect.parity import LinkageQuery, find_two_disjoint_paths, has_two_disjoint_odd_cycles
+from tperfect.recognizer import _reduced_sides
 from tperfect.theta import (
     _edge_components,
     _one_side_graph,
@@ -734,6 +737,92 @@ class TestRingAndSideSearches:
         assert _first_side(g, 2, 6) == {0, 1, 7, 8}
         assert _first_side(g, 0, 1) == set(range(2, 9))
         assert builds == []
+
+
+# -- reference: the six-branch separation case split ----------------------
+
+
+def ref_reduced_sides(side1, side2, u, v, parities):
+    g1, map1 = side1
+    g2, map2 = side2
+    o1, e1, o2, e2 = parities
+    check(o1 or e1, "a connected side admits an induced separator path")
+    check(o2 or e2, "a connected side admits an induced separator path")
+
+    if o1 and e1 and o2 and e2:
+        return "mixed-parities-both-sides", None
+
+    def identified(gs, mp):
+        merged, mp2 = identify_vertices(gs, mp[u], mp[v])
+        combined = {old: mp2[new] for old, new in mp.items()}
+        return merged, combined
+
+    def with_edge(gs, mp):
+        return gs.with_edge(mp[u], mp[v]), dict(mp)
+
+    if o1 and not o2:
+        return "separation-odd-one-side", [identified(g1, map1), with_edge(g2, map2)]
+    if o2 and not o1:
+        return "separation-odd-one-side", [identified(g2, map2), with_edge(g1, map1)]
+    if not o1 and not o2:
+        return "separation-odd-neither-side", [(g1, dict(map1)), (g2, dict(map2))]
+    if e1 and not e2:
+        return "separation-even-one-side", [with_edge(g1, map1), identified(g2, map2)]
+    if e2 and not e1:
+        return "separation-even-one-side", [with_edge(g2, map2), identified(g1, map1)]
+    check(not e1 and not e2, "remaining case: even paths on neither side")
+    return "separation-even-neither-side", [(g1, dict(map1)), (g2, dict(map2))]
+
+
+def reduced_or_error(reduce):
+    """The case and each child's (n, edges, map), or the error raised."""
+    try:
+        case, children = reduce()
+    except (GraphInputError, InternalInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+    if children is None:
+        return case, None
+    return case, [(h.n, h.edges, mp) for h, mp in children]
+
+
+class TestReducedSidesRule:
+    def test_symmetric_rule_matches_six_branch_reference(self):
+        # the unit fixtures (one with an adjacent pair, which both reject
+        # where an edge uv is added) and random separating pairs of blow-ups
+        cases = [
+            (Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]), (0, 1, {2})),
+            (cycle_graph(6), (0, 3, {1, 2})),
+            (cycle_graph(5), (0, 2, {1})),
+        ]
+        rnd = random.Random(1919)
+        for _ in range(250):
+            g = cycle_blowup([rnd.choice((1, 1, 2)) for _ in range(rnd.randint(4, 10))])
+            sep = find_two_separation(g)
+            if sep is not None:
+                cases.append((g, sep))
+            u, v = sorted(rnd.sample(range(g.n), 2))
+            first = _first_side(g, u, v)
+            if len(first) < g.n - 2:
+                cases.append((g, (u, v, first)))
+        outcomes = set()
+        for g, (u, v, first) in cases:
+            sides = [g.induced(first | {u, v}), g.induced(set(range(g.n)) - first)]
+            for bits in range(16):
+                parities = tuple(bool(bits >> i & 1) for i in range(4))
+                got = reduced_or_error(lambda: _reduced_sides(sides, u, v, parities))
+                want = reduced_or_error(lambda: ref_reduced_sides(*sides, u, v, parities))
+                assert got == want, (g.edges, u, v, parities)
+                outcomes.add(got[0])
+        assert len(cases) > 250, len(cases)
+        assert outcomes == {
+            "GraphInputError",
+            "InternalInvariantError",
+            "mixed-parities-both-sides",
+            "separation-even-neither-side",
+            "separation-even-one-side",
+            "separation-odd-neither-side",
+            "separation-odd-one-side",
+        }
 
 
 # -- reference: the exhaustive two-odd-edge split --------------------------

@@ -6,7 +6,6 @@ from conftest import cycle_blowup, random_graph
 from tperfect import recognizer
 from tperfect.core import (
     Graph,
-    Separation,
     claw,
     complete_graph,
     cycle_graph,
@@ -16,7 +15,8 @@ from tperfect.core import (
 )
 from tperfect.core.isomorphism import canonical_form
 from tperfect.corpus import generate_corpus
-from tperfect.errors import NotClawFreeError
+from tperfect.core.graph import identify_vertices
+from tperfect.errors import InternalInvariantError, NotClawFreeError
 from tperfect.linegraph import line_graph, recognize_line_graph
 from tperfect.oracle import is_t_perfect_bruteforce
 from tperfect.parity import MAX_EXHAUSTIVE_N
@@ -117,18 +117,17 @@ class TestCertificates:
 
 
 def reduce_separation(g, sep, parities):
-    """`_reduced_sides` on the two induced sides of `sep`, as `_decide`
-    calls it."""
-    u, v = sorted(sep.cut)
-    side1 = g.induced(sep.g1_vertices)
-    side2 = g.induced(sep.g2_vertices)
-    return _reduced_sides(side1, side2, u, v, parities)
+    """`_reduced_sides` on the two induced sides of `sep` = (u, v, first),
+    as `_decide` calls it."""
+    u, v, first = sep
+    sides = [g.induced(first | {u, v}), g.induced(set(range(g.n)) - first)]
+    return _reduced_sides(sides, u, v, parities)
 
 
 class TestReducedSides:
     def test_shared_edge_lands_in_unchanged_case(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-        sep = Separation(frozenset({0, 1, 2}), frozenset({0, 1, 3}))
+        sep = (0, 1, {2})
         # the separator edge is present: every induced path is the edge,
         # odd on both sides
         case, [(g1t, _), (g2t, _)] = reduce_separation(g, sep, (True, False, True, False))
@@ -137,14 +136,14 @@ class TestReducedSides:
 
     def test_even_both_sides_unchanged(self):
         g = cycle_graph(6)
-        sep = Separation(frozenset({0, 1, 2, 3}), frozenset({3, 4, 5, 0}))
+        sep = (0, 3, {1, 2})
         case, [(g1t, _), (g2t, _)] = reduce_separation(g, sep, (False, True, False, True))
         assert case == "separation-odd-neither-side"
         assert (g1t.n, g2t.n) == (4, 4)
 
     def test_mixed_case_builds_no_sides(self):
         g = cycle_graph(6)
-        sep = Separation(frozenset({0, 1, 2, 3}), frozenset({3, 4, 5, 0}))
+        sep = (0, 3, {1, 2})
         # the caller rejects the graph instead of reducing
         assert reduce_separation(g, sep, (True, True, True, True)) == (
             "mixed-parities-both-sides",
@@ -155,7 +154,7 @@ class TestReducedSides:
         # splitting a five-cycle at a two-cut: one side odd-only, the
         # other even-only; both reduced sides check out via the oracle
         g = cycle_graph(5)
-        sep = Separation(frozenset({0, 1, 2}), frozenset({2, 3, 4, 0}))
+        sep = (0, 2, {1})
         # side1 = path 0-1-2 (even only), side2 = path 2-3-4-0 (odd only)
         case, children = reduce_separation(g, sep, (False, True, True, False))
         assert case in ("separation-odd-one-side", "separation-even-one-side")
@@ -296,6 +295,34 @@ class TestRootBeforeClawScan:
         for n in (11, 14, 20):
             is_t_perfect(squared_cycle(n))
         assert len(separations) > 60 and searches == []
+
+    def test_claw_scans_land_only_on_rootless_graphs(self, monkeypatch):
+        # a verified root means L(root) = child, which has no claw
+        rootless, scanned = [], []
+
+        def root_of(g):
+            root = recognize_line_graph(g)
+            if root is None:
+                rootless.append(g)
+            return root
+
+        monkeypatch.setattr(recognizer, "recognize_line_graph", root_of)
+        monkeypatch.setattr(recognizer, "find_claw", lambda g: scanned.append(g) or find_claw(g))
+        rnd = random.Random(19)
+        for _ in range(60):
+            is_t_perfect(cycle_blowup([rnd.choice((1, 1, 2)) for _ in range(rnd.randint(5, 12))]))
+        rootless_ids = {id(g) for g in rootless}
+        assert len(scanned) > 60
+        assert all(id(g) in rootless_ids for g in scanned)
+
+    def test_a_child_with_a_claw_is_an_internal_error(self, monkeypatch):
+        def clawed(g, u, v):
+            merged, old_to_new = identify_vertices(g, u, v)
+            return Graph(merged.n, [(0, 1), (0, 2), (0, 3)]), old_to_new
+
+        monkeypatch.setattr(recognizer, "identify_vertices", clawed)
+        with pytest.raises(InternalInvariantError, match="claw-free"):
+            is_t_perfect(cycle_blowup([2, 1, 1, 2, 1]))
 
     def test_empty_and_edgeless_inputs_are_t_perfect(self):
         empty = is_t_perfect(Graph(0))
