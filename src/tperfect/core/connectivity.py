@@ -3,9 +3,13 @@
 One low-point DFS, `_low_points`, serves both blocks and the separation
 scan: run on g it gives the blocks, and run on G - u, with u stepped over
 in place, it gives the cut vertices behind the least separating pair.
+A contraction certificate (Tutte's lemma) proves most 3-connected graphs
+after the scan's first two passes, so their "no pair" costs no more.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from ..errors import check
 from .graph import Graph
@@ -112,6 +116,61 @@ def _first_side(g: Graph, u: int, v: int) -> set[int]:
     return set(found)
 
 
+def _contracts_to_k4(g: Graph) -> bool:
+    """True only when contracting edges whose two ends both have degree
+    >= 3 turns g into K4, which proves g 3-connected.  False proves
+    nothing.
+
+    Lemma (Tutte, 1961).  If d(x), d(y) >= 3 and G/xy is 3-connected,
+    then G is 3-connected.  Let S be a set of at most two vertices with
+    G - S disconnected.  If S = {x, y}, the merged vertex alone cuts
+    G/xy.  If S holds one end, say x, the component C of G - S that
+    holds y is not {y}, since d(y) >= 3, so S - x plus the merged vertex
+    cuts C - y from the other components in G/xy.  If S holds neither
+    end, x and y lie in one component, and S still cuts G/xy.  So K4 at
+    the end of the chain makes every graph on it 3-connected, g first.
+
+    A heap with stale entries pops a least-degree live vertex y, which
+    merges into its neighbour x with the fewest common neighbours when
+    the merged vertex keeps degree >= 3 and no common neighbour drops
+    below 3 (each loses one edge); otherwise y waits until the next
+    contraction.  A 3-connected graph on 5 or more vertices has minimum
+    degree 3, so a merge that breaks it cannot lead to K4.  Every live
+    degree stays >= 3, so four live vertices are K4; when every live
+    vertex waits, the answer is False.  Each merge costs O(d(y)^2).
+    """
+    adj = [set(ns) for ns in g._nbrs]
+    if g.n < 4 or min(map(len, adj)) < 3:
+        return False
+    heap = [(len(ns), y) for y, ns in enumerate(adj)]
+    heapq.heapify(heap)
+    waiting: set[int] = set()
+    live = g.n
+    while live > 4:
+        if not heap:
+            return False
+        d, y = heapq.heappop(heap)
+        ny = adj[y]
+        if d != len(ny):  # stale: y's degree changed, or y was merged away
+            continue
+        x = min(ny, key=lambda w: (len(ny & adj[w]), w))
+        shared = ny & adj[x]
+        if len(ny) + len(adj[x]) - 2 - len(shared) < 3 or any(len(adj[w]) < 4 for w in shared):
+            waiting.add(y)
+            continue
+        for w in ny:
+            adj[w].discard(y)
+            if w != x:
+                adj[w].add(x)
+        adj[x] |= ny - {x}
+        ny.clear()
+        live -= 1
+        for w in waiting | shared | {x}:
+            heapq.heappush(heap, (len(adj[w]), w))
+        waiting.clear()
+    return True
+
+
 def _least_separating_pair(g: Graph) -> tuple[int, int] | None:
     """The lexicographically least pair u < v with G - {u, v} disconnected,
     or None when there is none or g is disconnected.  g has at least 4
@@ -122,7 +181,13 @@ def _least_separating_pair(g: Graph) -> tuple[int, int] | None:
     a cut vertex v < u of G - u would have given (v, u) earlier.  When u
     is itself a cut vertex of g, G - u is disconnected and the pairs
     (u, v) are tested one by one; some (u, v) then separates unless
-    u = n - 2, so that test runs at most once in full.  O(n(n + m)).
+    u = n - 2, so that test runs at most once in full.
+
+    Most least pairs start at vertex 0 or 1, so after those two passes
+    `_contracts_to_k4` is tried once: when it proves g 3-connected the
+    answer is None with no further pass.  Each pass is O(n + m); the
+    scan is O(n(n + m)) only when the certificate fails or the least
+    pair starts late.
 
     g is connected when vertex 0 has a neighbour and G - 0 is connected;
     only a disconnected G - 0 costs a component search.
@@ -130,6 +195,8 @@ def _least_separating_pair(g: Graph) -> tuple[int, int] | None:
     if not g._nbrs[0]:
         return None
     for u in range(g.n):
+        if u == 2 and _contracts_to_k4(g):
+            return None
         _, cut, trees = _low_points(g, u)
         if trees > 1:
             if u == 0 and not g.is_connected():
@@ -148,7 +215,9 @@ def is_three_connected(g: Graph) -> bool:
     """True iff g is connected, has >= 4 vertices, and no vertex pair
     disconnects it.  Graphs on < 4 vertices report False by convention.
 
-    One `_low_points` pass over G - u per vertex u: O(n(n + m)).
+    The separation scan of `_least_separating_pair`: two O(n + m)
+    passes and the contraction certificate when it proves g 3-connected,
+    one pass over G - u per vertex u, O(n(n + m)), only when it fails.
     """
     if g.n < 4 or not g.is_connected():
         return False
@@ -166,7 +235,11 @@ def find_two_separation(g: Graph) -> tuple[int, int, set[int]] | None:
     vertices, so on a connected g with 4 or more vertices None means
     3-connected.
 
-    One `_low_points` pass over G - u per vertex u: O(n(n + m)).
+    A pair starting at vertex 0 or 1 costs one or two O(n + m) passes
+    over G - u, and a g that the contraction certificate proves
+    3-connected costs two passes plus the contractions.  Only a pair
+    starting later, or a 3-connected g the certificate misses, costs one
+    pass per vertex up to it: O(n(n + m)).
     """
     if g.n < 4:
         return None

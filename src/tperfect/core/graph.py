@@ -125,13 +125,15 @@ class Graph:
         return Graph._trusted(self.n, sorted(self._edges + (edge_key(u, v),)))
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        e = edge_key(u, v)
-        if not (0 <= e[0] and e[1] < self.n and self.has_edge(u, v)):
-            raise GraphInputError(f"edge {e} not present")
-        return Graph._trusted(self.n, [f for f in self._edges if f != e])
+        return self.without_edges([(u, v)])
 
     def without_edges(self, remove: Iterable[Edge]) -> "Graph":
+        """g minus the given edges; an edge g lacks, or one out of range,
+        raises GraphInputError."""
         dead = {edge_key(u, v) for u, v in remove}
+        for e in dead:
+            if not (0 <= e[0] and e[1] < self.n and self.has_edge(*e)):
+                raise GraphInputError(f"edge {e} not present")
         return Graph._trusted(self.n, [e for e in self._edges if e not in dead])
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:

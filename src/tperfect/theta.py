@@ -356,13 +356,28 @@ def _ring_arcs(ring: set[Edge], odds) -> tuple[list[int], list[list[int]]]:
 
 def _edge_components(n: int, edges: set[Edge]):
     """Components of an edge set on vertices below n, ordered by smallest
-    vertex, as (vertex set, edge set) pairs; isolated vertices are left out."""
-    comps = Graph._trusted(n, sorted(edges)).connected_components()
-    return [
-        (c, {e for e in edges if e[0] in c})
-        for c in map(set, comps)
-        if len(c) > 1
-    ]
+    vertex, as (vertex set, edge set) pairs; isolated vertices are left out.
+    One search over the edges alone, with no graph built on all n vertices."""
+    nbrs: dict[int, list[int]] = {}
+    for a, b in edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    home = [-1] * n
+    comps: list[tuple[set[int], set[Edge]]] = []
+    for start in sorted(nbrs):
+        if home[start] != -1:
+            continue
+        home[start] = len(comps)
+        found = [start]
+        for x in found:
+            for y in nbrs[x]:
+                if home[y] == -1:
+                    home[y] = len(comps)
+                    found.append(y)
+        comps.append((set(found), set()))
+    for e in edges:
+        comps[home[e[0]]][1].add(e)
+    return comps
 
 
 def _trim_xy_path(path: list[int], xs: set[int], ys: set[int]) -> list[int]:

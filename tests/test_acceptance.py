@@ -15,7 +15,7 @@ import pytest
 from conftest import random_bridgeless_cubic_graph, split_family, subdivided_cubic_root
 
 from tperfect.cli import run_cli
-from tperfect.core import Graph, make_named
+from tperfect.core import Graph, connectivity, make_named, squared_cycle
 from tperfect.corpus import (
     enumerate_connected_graphs,
     generate_corpus,
@@ -300,6 +300,41 @@ def test_criterion_11_two_odd_split_scaling():
         f"two split sides each, and t-perfect line graphs over n={sizes}; "
         f"wall-time exponent {slope:.2f} <= 2, best ms "
         f"{[round(t * 1000, 1) for t in best_s]}"
+    )
+
+
+def test_criterion_12_three_connected_block_scaling(monkeypatch):
+    # the verdict by construction, as for the benchmark's squared cycles:
+    # C_n^2 with n >= 11 is 3-connected; claw-free, as each neighbourhood
+    # induces a 4-path; not a line graph, since a clique partition would
+    # need the two triangles {i-2, i-1, i} and {i, i+1, i+2} at every
+    # vertex i, and those of i and i+1 share the edge i(i+1); and none of
+    # the five exceptional graphs, which have at most 10 vertices.  So it
+    # is a 3-connected block that is not t-perfect
+    skips = []
+    low_points = connectivity._low_points
+    monkeypatch.setattr(
+        connectivity,
+        "_low_points",
+        lambda g, skip=None: skips.append(skip) or low_points(g, skip),
+    )
+    rnd = random.Random(20)
+    sizes = (400, 800, 1600, 3200)
+    for n in sizes:
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        g = Graph(n, [(perm[a], perm[b]) for a, b in squared_cycle(n).edges])
+        skips.clear()
+        decision = is_t_perfect(g)
+        assert not decision.t_perfect, n
+        assert [e.rule for e in decision.certificate] == ["three-connected"], n
+        # the block pass, then the separation scan's passes over G - 0 and
+        # G - 1, after which the contraction certificate answers
+        assert [s for s in skips if s is not None] == [0, 1], (n, skips)
+    print(
+        f"\nACCEPTANCE 12 (3-connected block scaling): PASS - relabelled "
+        f"squared cycles over n={sizes} are not t-perfect by rule "
+        f"three-connected after two separation-scan passes each"
     )
 
 

@@ -29,7 +29,7 @@ from tperfect.core import (
     squared_cycle_minus_vertex,
     theta_graph,
 )
-from tperfect.core.connectivity import _low_points
+from tperfect.core.connectivity import _contracts_to_k4, _low_points
 from tperfect.errors import GraphInputError
 from tperfect.linegraph import line_graph, recognize_line_graph
 from tperfect.recognizer import is_t_perfect
@@ -88,6 +88,19 @@ class TestGraphType:
     def test_transformations_reject_vertices_out_of_range(self, transform):
         with pytest.raises(GraphInputError, match="range"):
             transform(Graph(3, [(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize(
+        "remove",
+        [[(0, 2)], [(0, 9)], [(-1, 0)], [(1, 1)], [(0, 1), (2, 0)]],
+        ids=["absent", "high", "low", "loop", "one-of-two-absent"],
+    )
+    def test_edge_removals_reject_edges_the_graph_lacks(self, remove):
+        g = Graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(GraphInputError, match="not present"):
+            g.without_edges(remove)
+        if len(remove) == 1:
+            with pytest.raises(GraphInputError, match="not present"):
+                g.without_edge(*remove[0])
 
     def test_adjacency_is_symmetric(self):
         g = Graph(4, [(0, 1), (2, 3), (1, 2)])
@@ -295,7 +308,7 @@ class TestLinearPassConnectivity:
     def test_matches_pair_scan_reference(self):
         rnd = random.Random(31)
         outcomes = {"disconnected": 0, "separated": 0, "three-connected": 0}
-        least_pair_at_cut_vertex = 0
+        least_pair_at_cut_vertex = proved = 0
         for _ in range(3000):
             n = rnd.randint(1, 14)
             g = random_graph(rnd, n, rnd.uniform(0.1, 0.9))
@@ -304,17 +317,23 @@ class TestLinearPassConnectivity:
             assert is_three_connected(g) == (
                 n >= 4 and g.is_connected() and want is None
             )
+            # the contraction certificate proves only what the scan confirms
+            certified = _contracts_to_k4(g)
             if not g.is_connected():
                 outcomes["disconnected"] += 1
+                assert not certified
             elif want is not None:
                 outcomes["separated"] += 1
+                assert not certified, g.edges
                 # G - u is disconnected, so the per-pair scan answered
                 if want[0] in _low_points(g)[1]:
                     least_pair_at_cut_vertex += 1
             elif n >= 4:
                 outcomes["three-connected"] += 1
+                proved += certified
         assert min(outcomes.values()) >= 300, outcomes
         assert least_pair_at_cut_vertex >= 50
+        assert proved >= 0.9 * outcomes["three-connected"], (proved, outcomes)
 
     def test_agrees_with_networkx_node_connectivity(self):
         nx = pytest.importorskip("networkx")
@@ -328,11 +347,26 @@ class TestLinearPassConnectivity:
             cycle_blowup([rnd.choice((1, 1, 2, 3)) for _ in range(k)])
             for k in (rnd.randint(4, 12) for _ in range(60))
         ]
-        answers = []
+        answers, proved = [], 0
         for g in cases:
             answers.append(nx.node_connectivity(nx_graph(g)) >= 3)
             assert is_three_connected(g) == answers[-1], g.edges
+            certified = _contracts_to_k4(g)
+            assert answers[-1] or not certified, g.edges
+            proved += certified
         assert answers.count(True) >= 40 and answers.count(False) >= 40
+        assert proved >= 0.9 * answers.count(True), proved
+
+    def test_contraction_certificate_proves_squared_cycles(self):
+        # C_n^2 is 3-connected for n >= 5: deleting two vertices leaves at
+        # most two arcs of the ring, and the arcs' ends are joined by the
+        # chords that jump a deleted vertex
+        rnd = random.Random(11)
+        for n in range(11, 401):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            g = Graph(n, [(perm[a], perm[b]) for a, b in squared_cycle(n).edges])
+            assert _contracts_to_k4(g), n
 
 
 class TestSharedSearches:
