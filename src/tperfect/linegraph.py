@@ -86,7 +86,11 @@ def line_graph(h: Graph) -> tuple[Graph, dict[Edge, int]]:
 def _root_from_seed(g: Graph, seed: tuple[int, ...]) -> RootMapping | None:
     """Grow the forced cell partition from a seed cell and read the root
     off it (cells numbered in creation order, then private endpoints in
-    vertex order); None when the partition fails."""
+    vertex order); None when the partition fails.
+
+    Two cells share at most one vertex: a new cell meets v's first cell
+    only in v, and the overlap check rejects a w whose first cell meets
+    it twice.  So no two vertices get the same (first, second) pair."""
     adj = g._adj
     first = [-1] * g.n
     second = [-1] * g.n
@@ -131,8 +135,6 @@ def _root_from_seed(g: Graph, seed: tuple[int, ...]) -> RootMapping | None:
             b = next_id
             next_id += 1
         edge_to_vertex[a, b] = v
-    if len(edge_to_vertex) < g.n:
-        return None  # two vertices in the same two cells
     return RootMapping(Graph._trusted(next_id, sorted(edge_to_vertex)), edge_to_vertex)
 
 

@@ -41,29 +41,22 @@ def exists_induced_path_with_parity(
     """(odd, even): is there an induced u-v path of odd, of even length?
 
     One depth-first enumeration of the induced paths, keeping a blocked
-    set (vertices adjacent to the interior), pruning branches from which
-    v is unreachable, and stopping once both parities are seen.
+    set (vertices adjacent to the interior) and stopping once both
+    parities are seen.  Branches that cannot reach v are not pruned: they
+    find no path, so the answer and the stop are the same.  A prune pays
+    only where a region off u cannot reach v (10-30x at 18-20 vertices,
+    under 0.3 ms on 2 cores); on the benchmark's blow-ups and squared
+    cycles it never cut a branch and cost half the search.
     """
     if u == v:
         raise GraphInputError("parity query endpoints must differ")
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise GraphInputError(f"vertices ({u},{v}) out of range for n={g.n}")
     if g.n > max_exhaustive_n:
         raise SizeGuardError(
             f"induced-path search on {g.n} vertices exceeds cap {max_exhaustive_n}"
         )
     found = [False, False]  # by path length mod 2
-
-    def reachable(frontier: int, blocked: set[int]) -> bool:
-        seen = {frontier}
-        stack = [frontier]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y == v:
-                    return True
-                if y not in seen and y not in blocked:
-                    seen.add(y)
-                    stack.append(y)
-        return False
 
     def extend(last: int, length: int, blocked: set[int]) -> bool:
         """True once both parities are seen."""
@@ -77,10 +70,7 @@ def exists_induced_path_with_parity(
                 if all(found):
                     return True
                 continue
-            new_blocked = blocked | {w} | g.neighbors(last)
-            if not reachable(w, new_blocked):
-                continue
-            if extend(w, length + 1, new_blocked):
+            if extend(w, length + 1, blocked | {w} | g.neighbors(last)):
                 return True
         return False
 

@@ -9,9 +9,10 @@ are even-class, the even graph is connected, and the odd-class edges are
 the non-tree edges closing odd fundamental cycles.  It then repeatedly
 either certifies a skewed theta or finds an edge cut with more odd- than
 even-class edges and flips one side of it, strictly shrinking the odd-edge
-count; `triads` reads three fundamental cycles off one BFS tree of the even
-graph by walking up parents, splits trees with one edge-component search,
-and walks the tri-odd ring in place.  Once at most two odd-class edges remain,
+count and keeping the even graph connected; `triads` reads three
+fundamental cycles off one BFS tree of the even graph by walking up
+parents, splits trees with one edge-component search, and walks the
+tri-odd ring in place.  Once at most two odd-class edges remain,
 phase two decides directly; since a cycle is odd exactly when it carries an
 odd number of odd-class edges, every skewed theta contains one of them.
 Two are flipped down to one when the O(m) `small_flip_cut` finds a cut of
@@ -214,28 +215,23 @@ def triads(
     """Reduce three odd-class edges: either certify a skewed theta or
     produce an exact cut with more odd- than even-class edges.
 
-    The routine follows the fundamental-cycle analysis: disconnected even
-    graph, two edge-disjoint odd fundamental cycles, a common cycle edge,
-    a one-edge separation, and finally the crossing analysis of two even
-    connections off the tri-odd cycle.  The fundamental cycles are read
-    off one BFS tree of the even graph by walking up parents; the even
-    graph itself is built only for the flows of the last three steps.
+    The even graph must be connected, as phase one keeps it (see
+    `has_skewed_theta`).  The routine follows the fundamental-cycle
+    analysis: two edge-disjoint odd fundamental cycles, a common cycle
+    edge, a one-edge separation, and finally the crossing analysis of two
+    even connections off the tri-odd cycle.  The fundamental cycles are
+    read off one BFS tree of the even graph by walking up parents; the
+    even graph itself is built only for the flows of the last three steps.
     """
     odds = tuple(sorted({edge_key(*o1), edge_key(*o2), edge_key(*o3)}))
     if len(odds) != 3 or any(not view.is_odd(e) for e in odds):
         raise GraphInputError("triads needs three distinct odd-class edges")
     if not h.is_subcubic():
         raise GraphInputError("triads expects a subcubic graph")
-    o1, o2, o3 = odds
-
     parent, depth, reached = _even_bfs_tree(h, view.labels)
     if len(reached) < h.n:
-        cut = exact_cut(h, reached)
-        check(
-            all(view.is_odd(e) for e in cut.edges) and len(cut.edges) >= 2,
-            "component cut of the even graph must be all-odd and >= 2 edges",
-        )
-        return cut
+        raise GraphInputError("triads expects a connected even graph")
+    o1, o2, o3 = odds
 
     cycle_edges = {o: _tree_cycle_edges(parent, depth, o) for o in odds}
     for a, b in ((o1, o2), (o1, o3), (o2, o3)):
@@ -781,6 +777,14 @@ def has_skewed_theta(h: Graph) -> ThetaVerdict:
     2-colouring (h's own when the block is h), reduce the odd-class edge
     count through triad cuts and flips, then dispatch the remaining
     at-most-two odd edges.  The verdict is the disjunction over blocks.
+
+    The even graph stays connected, as `triads` needs: the start's tree
+    edges are even, and each flip is `exact_cut(h, X)` for a side X of a
+    minimum cut of the connected even graph (`_tree_pair_cut`'s, or the
+    one-edge `cut6`).  Both sides stay connected: a side's component
+    without terminals could change sides and shrink the cut, and each
+    side's terminals form one even tree (or the cut is one edge).  The
+    flipped cut's odd edges, now even, rejoin the sides.
     """
     if not h.is_subcubic():
         raise GraphInputError("skewed-theta detection expects a subcubic graph")

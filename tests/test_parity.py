@@ -2,9 +2,18 @@ import random
 from itertools import combinations
 
 import pytest
+from conftest import cycle_blowup
 
-from tperfect.core import Graph, complete_graph, cycle_graph, prism_graph, theta_graph
+from tperfect.core import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    prism_graph,
+    theta_graph,
+)
 from tperfect.errors import GraphInputError, SizeGuardError
+from tperfect.linegraph import line_graph
 from tperfect.parity import (
     LinkageQuery,
     exists_induced_path_with_parity,
@@ -35,6 +44,26 @@ def enumerate_induced_paths(g, u, v):
     return found
 
 
+def ladder_with_handle(k):
+    """L(H_k) with both pendant-edge vertices joined to both ends of a
+    new edge: H_k is the k-rung ladder with rails 0..k-1 and k..2k-1 and
+    a pendant edge at 0 and at 2k-1.  Claw-free and 3k + 2 vertices."""
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    h = Graph(2 * k + 2, rails + [(i, k + i) for i in range(k)] + [(0, 2 * k), (2 * k - 1, 2 * k + 1)])
+    lg, index = line_graph(h)
+    x, y, w1, w2 = index[0, 2 * k], index[2 * k - 1, 2 * k + 1], lg.n, lg.n + 1
+    handle = [(w1, w2), (x, w1), (x, w2), (y, w1), (y, w2)]
+    return Graph(lg.n + 2, list(lg.edges) + handle)
+
+
+def dead_end_side():
+    """A six-cycle 0..5 with L(H_3) (nine vertices) hanging off vertex 0
+    by one edge: from 0, that region cannot reach 3."""
+    region = ladder_with_handle(3)
+    region_edges = [(a + 6, b + 6) for a, b in region.edges if max(a, b) < 9]
+    return Graph(15, [(i, (i + 1) % 6) for i in range(6)] + region_edges + [(0, 6)])
+
+
 class TestInducedParity:
     def test_adjacent_in_cycle_five(self):
         assert exists_induced_path_with_parity(cycle_graph(5), 0, 1) == (True, False)
@@ -52,6 +81,32 @@ class TestInducedParity:
             paths = enumerate_induced_paths(g, u, v)
             lengths = {(len(p) - 1) % 2 for p in paths}
             assert exists_induced_path_with_parity(g, u, v) == (1 in lengths, 0 in lengths)
+
+    def test_matches_enumeration_on_claw_free_sides(self):
+        # sides of 10 to 16 vertices like those the separation step asks
+        # about, and one with a dead end off u, every ordered pair
+        rnd = random.Random(21)
+        sides = [
+            cycle_blowup([2, 1, 1] * 3 + [1]),
+            cycle_blowup([2, 1] * 4 + [1, 1]),
+            cycle_blowup([2, 1, 1] * 4),
+            ladder_with_handle(3),
+            ladder_with_handle(4),
+            dead_end_side(),
+        ]
+        while len(sides) < 12:
+            sizes = [rnd.randint(1, 2) for _ in range(rnd.randint(7, 10))]
+            if 10 <= sum(sizes) <= 16:
+                sides.append(cycle_blowup(sizes))
+        for g in sides:
+            assert 10 <= g.n <= 16
+            for u in range(g.n):
+                for v in range(g.n):
+                    if u == v:
+                        continue
+                    lengths = {(len(p) - 1) % 2 for p in enumerate_induced_paths(g, u, v)}
+                    got = exists_induced_path_with_parity(g, u, v)
+                    assert got == (1 in lengths, 0 in lengths), (g.edges, u, v)
 
     def test_stops_once_both_parities_are_seen(self, monkeypatch):
         # 0-1-2-5 is odd and 0-1-3-4-5 even, both through 1; the search
@@ -79,6 +134,11 @@ class TestInducedParity:
     def test_equal_endpoints_rejected(self):
         with pytest.raises(GraphInputError):
             exists_induced_path_with_parity(cycle_graph(5), 1, 1)
+
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, 9), (4, 0)])
+    def test_out_of_range_endpoints_rejected(self, u, v):
+        with pytest.raises(GraphInputError, match="out of range"):
+            exists_induced_path_with_parity(path_graph(4), u, v)
 
 
 class TestTwoDisjointPaths:

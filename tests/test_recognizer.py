@@ -219,10 +219,12 @@ class TestRootBeforeClawScan:
             seen[g.is_connected()] += 1
         assert min(seen.values()) > 50, seen
 
+    @pytest.mark.slow
     def test_decisions_match_claw_first_reference(self, clawfree_to_nine):
         for g in clawfree_to_nine:
             assert is_t_perfect(g).to_json() == claw_first_decision(g).to_json(), g.edges
 
+    @pytest.mark.slow
     def test_disjoint_unions_match_claw_first_reference(self, clawfree_to_nine):
         rnd = random.Random(82)
         for _ in range(400):
@@ -258,6 +260,7 @@ class TestRootBeforeClawScan:
         is_t_perfect(squared_cycle(7))  # 3-connected, not a line graph
         assert calls == {"root": 2, "claw": 1}
 
+    @pytest.mark.slow
     def test_root_search_makes_no_component_search(self, monkeypatch, clawfree_to_nine):
         searches = []
         components = Graph.connected_components

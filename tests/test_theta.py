@@ -167,16 +167,36 @@ class TestCrossing:
 
 
 class TestTriads:
-    def test_disconnected_even_graph_returns_odd_cut(self):
+    def test_disconnected_even_graph_rejected(self):
         # two triangles joined by odd edges only: the trivial bipartition
-        # makes the even graph empty
+        # makes the even graph empty, a view phase one never reaches
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4)])
         view = make_view(g, (0,) * g.n)
-        o1, o2, o3 = view.odd_edges[:3]
-        res = triads(g, view, o1, o2, o3)
-        assert not isinstance(res, ThetaFound)
-        assert all(view.is_odd(e) for e in res.edges)
-        assert len(res.edges) >= 2
+        with pytest.raises(GraphInputError, match="connected even graph"):
+            triads(g, view, *view.odd_edges[:3])
+
+    def test_phase_one_keeps_the_even_graph_connected(self, monkeypatch):
+        # every view that has_skewed_theta hands to triads has a connected
+        # even graph: the spanning-tree start, then flips of minimum cuts
+        calls = 0
+        fn = theta.triads
+
+        def checked(h, view, *odds):
+            nonlocal calls
+            calls += 1
+            assert view.even_graph().is_connected(), (h.edges, view.labels)
+            return fn(h, view, *odds)
+
+        monkeypatch.setattr(theta, "triads", checked)
+        rnd = random.Random(2121)
+        seen = 0
+        while seen < 2000:
+            g = random_subcubic_graph(rnd, rnd.randint(10, 40))
+            if g.is_bipartite():
+                continue
+            has_skewed_theta(g)
+            seen += 1
+        assert calls > 1500, calls
 
     def test_edge_disjoint_fundamental_cycles_found(self):
         # an eight-cycle with three odd chords; the first two chords close
@@ -191,11 +211,12 @@ class TestTriads:
         assert has_skewed_theta_bruteforce(g)
 
     def test_returned_cut_contract(self):
-        # run full phase-one loops over random subcubic blocks and check
-        # every returned cut has more odd than even edges
+        # run full phase-one loops, from phase one's spanning-tree start,
+        # over random subcubic blocks and check every returned cut has
+        # more odd than even edges
         rnd = random.Random(12)
-        checked = 0
-        while checked < 40:
+        checked = cuts = 0
+        while checked < 400:
             g = random_subcubic_graph(rnd, rnd.randint(6, 12))
             from tperfect.core.connectivity import blocks
 
@@ -203,7 +224,7 @@ class TestTriads:
             if len(blk) < 5:
                 continue
             sub, _ = g.induced(blk)
-            view = make_view(sub, (0,) * sub.n)
+            view = spanning_tree_view(sub)
             while len(view.odd_edges) >= 3:
                 res = triads(sub, view, *view.odd_edges[:3])
                 if isinstance(res, ThetaFound):
@@ -213,7 +234,9 @@ class TestTriads:
                 before = len(view.odd_edges)
                 view = flip(view, res)
                 assert len(view.odd_edges) < before
+                cuts += 1
             checked += 1
+        assert cuts > 40, cuts
 
 
 class TestTwoOdd:
