@@ -2,7 +2,8 @@
 
 Every connected graph with at least one edge has a line graph; the
 recognizer inverts the construction, returning a root plus the exact
-edge-to-vertex bijection, and verifies the bijection before answering.
+edge-to-vertex bijection, which is right by construction; this demo
+checks each one independently with `RootMapping.verify_against`.
 K3 is the classical ambiguous case: both K3 and the 3-star are roots, and
 this implementation emits the star.
 """

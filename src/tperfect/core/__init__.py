@@ -4,7 +4,6 @@ from .connectivity import (
     blocks,
     find_two_separation,
     is_three_connected,
-    is_two_connected,
 )
 from .flow import (
     EdgeCut,
@@ -48,7 +47,6 @@ __all__ = [
     "identify_vertices",
     "is_isomorphic_small",
     "is_three_connected",
-    "is_two_connected",
     "make_named",
     "min_edge_cut_between",
     "path_edges",

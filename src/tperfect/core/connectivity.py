@@ -96,12 +96,6 @@ def blocks(g: Graph) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(b) for b in ordered)
 
 
-def is_two_connected(g: Graph) -> bool:
-    """2-connected in the strict sense: at least 3 vertices, connected,
-    no cut vertex (one block, since the blocks cover every vertex)."""
-    return g.n >= 3 and len(blocks(g)) == 1
-
-
 def _first_side(g: Graph, u: int, v: int) -> set[int]:
     """The component of G - {u, v} that holds its smallest vertex: one
     search over g's adjacency that steps over u and v (g.n >= 3)."""

@@ -41,8 +41,10 @@ class EdgeCut:
 
 
 def exact_cut(g: Graph, side_a: Iterable[int]) -> EdgeCut:
-    """The cut E(X, V-X) for a given side X."""
+    """The cut E(X, V-X) for a given side X of vertices of g."""
     a = frozenset(side_a)
+    if not all(0 <= x < g.n for x in a):
+        raise GraphInputError(f"cut side vertices out of range for n={g.n}")
     b = frozenset(range(g.n)) - a
     edges = frozenset(e for e in g.edges if (e[0] in a) != (e[1] in a))
     return EdgeCut(edges, a, b)

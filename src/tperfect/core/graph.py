@@ -85,9 +85,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(s) for s in self._adj))
-
     def max_degree(self) -> int:
         return max((len(s) for s in self._adj), default=0)
 
@@ -226,13 +223,15 @@ def bfs_path(
     banned_vertices: Iterable[int] = (),
 ) -> list[int] | None:
     """Shortest path from any source to any target, avoiding the banned
-    vertices.
+    vertices; a vertex out of range raises GraphInputError.
 
     Deterministic: BFS scans sorted sources and sorted neighbors.
     """
     src = sorted(set(sources))
     tgt = set(targets)
     dead_v = set(banned_vertices)
+    if not all(0 <= x < g.n for vs in (src, tgt, dead_v) for x in vs):
+        raise GraphInputError(f"path search vertices out of range for n={g.n}")
     parent: dict[int, int | None] = {}
     queue = []
     for s in src:

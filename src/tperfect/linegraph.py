@@ -13,15 +13,14 @@ So the cell of the starting edge is {x,y} plus the common neighbourhood
 minus at most one vertex: at most |common|+1 candidates.  Once a correct
 seed cell is fixed, the rest of the partition is forced (a vertex with one
 known cell has all its remaining edges in exactly one further cell), so we
-try each candidate seed, propagate, and keep the first partition whose
-reconstructed root verifies L(root) == G exactly (in O(m), see
-`RootMapping.verify_against`).
+try each candidate seed, propagate, and keep the first partition that
+succeeds: its root satisfies L(root) == G by construction (see
+`_root_from_seed`).
 
 Propagation works on sets: each vertex holds the ids of its first and
 second cell, each cell is a frozenset, and a vertex's uncovered neighbours
-are its neighbourhood minus its cells.  No edge is covered twice, so all
-are covered exactly when sum C(|cell|, 2) == m.  A root needs every vertex
-in a cell, reached from the seed through adjacent vertices, so it proves G
+are its neighbourhood minus its cells.  A root needs every vertex in a
+cell, reached from the seed through adjacent vertices, so it proves G
 connected, and a disconnected graph gets None like any other graph without
 a root: no connectivity search is made.
 
@@ -88,16 +87,20 @@ def _root_from_seed(g: Graph, seed: tuple[int, ...]) -> RootMapping | None:
     off it (cells numbered in creation order, then private endpoints in
     vertex order); None when the partition fails.
 
-    Two cells share at most one vertex: a new cell meets v's first cell
-    only in v, and the overlap check rejects a w whose first cell meets
-    it twice.  So no two vertices get the same (first, second) pair."""
+    Cells are cliques: the seed by the caller's `g.is_clique`, the rest by
+    the `k` check.  Two share at most one vertex: a new cell meets v's
+    first cell only in v, and the overlap check rejects a w whose first
+    cell meets it twice.  A queued vertex has all its edges in its cells,
+    or None is returned.  So once every vertex has a first cell, the cells
+    partition E(g) exactly, vertices get distinct (first, second) pairs,
+    and they are adjacent exactly when their root edges share a cell:
+    L(root) == g."""
     adj = g._adj
     first = [-1] * g.n
     second = [-1] * g.n
     members = [frozenset(seed)]
     for v in seed:
         first[v] = 0
-    covered = len(seed) * (len(seed) - 1) // 2
     queue = list(seed)
     for v in queue:
         uncovered = adj[v] - members[first[v]]
@@ -121,10 +124,7 @@ def _root_from_seed(g: Graph, seed: tuple[int, ...]) -> RootMapping | None:
                 second[w] = cid
         second[v] = cid
         members.append(cell)
-        covered += k * (k + 1) // 2
         queue.extend(sorted(uncovered))
-    if covered != g.m:
-        return None
     next_id = len(members)
     edge_to_vertex: dict[Edge, int] = {}
     for v in range(g.n):
@@ -141,20 +141,15 @@ def _root_from_seed(g: Graph, seed: tuple[int, ...]) -> RootMapping | None:
 def recognize_line_graph(g: Graph) -> RootMapping | None:
     """Root reconstruction; None if g is not a connected line graph.
 
-    The returned mapping always satisfies L(root) == g exactly (re-derived
-    and checked before returning), so a non-None answer is self-certifying.
+    The returned mapping satisfies L(root) == g by construction (see
+    `_root_from_seed`); `RootMapping.verify_against` checks it in O(m).
     """
-    if g.n == 1:
-        return RootMapping(Graph(2, [(0, 1)]), {(0, 1): 0})
-    if g.m:
-        x, y = g.edges[0]
-        common = sorted(g.neighbors(x) & g.neighbors(y))
-        widest = tuple([x, y] + common)
-        candidates = [widest] + [tuple(v for v in widest if v != z) for z in common]
-        for cand in candidates:
-            if not g.is_clique(cand):
-                continue
-            rm = _root_from_seed(g, cand)
-            if rm is not None and rm.verify_against(g):
-                return rm
+    if g.m == 0:
+        return _root_from_seed(g, (0,)) if g.n == 1 else None
+    x, y = g.edges[0]
+    common = sorted(g.neighbors(x) & g.neighbors(y))
+    widest = tuple([x, y] + common)
+    for cand in [widest] + [tuple(v for v in widest if v != z) for z in common]:
+        if g.is_clique(cand) and (rm := _root_from_seed(g, cand)) is not None:
+            return rm
     return None

@@ -166,7 +166,17 @@ def is_t_perfect(g: Graph, max_exhaustive_n: int = MAX_EXHAUSTIVE_N) -> Decision
 def _decide(run: _Run, g: Graph, origins, root: RootMapping | None) -> bool:
     """The recursion on a nonempty graph.  Callers pass `root`, g's root
     or None, so every child gets the line-graph check first, like the
-    input."""
+    input.
+
+    The full call tree on n >= 1 vertices has at most 2n - 1 calls: a
+    call with children has two or more, and there are at most n leaves.
+    By induction a connected g on n >= 3 vertices has at most n - 2.  A
+    line graph is one leaf, as is every graph on two or fewer vertices.
+    Separation sides of a, b >= 3 vertices, a + b = n + 2, share only u
+    and v, and at most one loses a vertex to identification.  Blocks
+    share only cut vertices, so their sizes less one sum to n - 1, and one
+    has 3 or more vertices (a claw-free tree is a path, a line graph).  A
+    disconnected input's blocks give at most n leaves."""
     run.decide_calls += 1
 
     # line graphs are settled through their root graph

@@ -7,6 +7,10 @@ from tperfect.core.graph import Graph, bfs_path, edge_key
 from tperfect.errors import GraphInputError
 
 
+def degree_sequence(g):
+    return tuple(sorted(g.degree(v) for v in range(g.n)))
+
+
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(20240831)
@@ -171,7 +175,7 @@ def random_bridgeless_cubic_graph(rnd, n):
     """Pairing model: three points per vertex, matched at random, kept
     when the result is simple and 2-connected (for a cubic graph, the
     same as connected and bridgeless)."""
-    from tperfect.core import is_two_connected
+    from tperfect.core import blocks
 
     while True:
         points = [v for v in range(n) for _ in range(3)]
@@ -179,7 +183,7 @@ def random_bridgeless_cubic_graph(rnd, n):
         edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
         if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
             g = Graph(n, sorted(edges))
-            if is_two_connected(g):
+            if len(blocks(g)) == 1:
                 return g
 
 

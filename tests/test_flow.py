@@ -8,6 +8,7 @@ from tperfect.core import (
     complete_graph,
     cycle_graph,
     edge_disjoint_paths,
+    exact_cut,
     fan_paths,
     min_edge_cut_between,
     path_graph,
@@ -56,6 +57,14 @@ class TestMinCut:
     def test_overlapping_terminals_rejected(self):
         with pytest.raises(GraphInputError):
             min_edge_cut_between(path_graph(3), {0, 1}, {1, 2})
+
+    def test_cut_sides_outside_the_graph_rejected(self):
+        # a stray vertex on side a would reach flip as a broken partition
+        g = path_graph(4)
+        assert exact_cut(g, {0, 1}).edges == {(1, 2)}
+        for side in ({0, 9}, {-1}, {4}):
+            with pytest.raises(GraphInputError, match="out of range"):
+                exact_cut(g, side)
 
     def test_terminals_outside_the_graph_rejected(self):
         # stray terminals would index past the vertex lists, or wrap

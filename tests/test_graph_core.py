@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from conftest import (
     bfs_spanning_tree,
     cycle_blowup,
+    degree_sequence,
     random_graph,
     spanning_tree_fundamental_cycle,
 )
 
 from tperfect.core import (
     Graph,
+    bfs_path,
     blocks,
     claw,
     complete_graph,
@@ -82,8 +84,14 @@ class TestGraphType:
             lambda g: g.induced([0, 7]),
             lambda g: g.induced([-1, 0]),
             lambda g: g.without_vertex(9),
+            lambda g: bfs_path(g, {-1}, {0}),
+            lambda g: bfs_path(g, {0}, {9}),
+            lambda g: bfs_path(g, {0}, {2}, banned_vertices={7}),
         ],
-        ids=["identify-high", "identify-low", "induced-high", "induced-low", "without-vertex"],
+        ids=[
+            "identify-high", "identify-low", "induced-high", "induced-low", "without-vertex",
+            "bfs-source-low", "bfs-target-high", "bfs-banned-high",
+        ],
     )
     def test_transformations_reject_vertices_out_of_range(self, transform):
         with pytest.raises(GraphInputError, match="range"):
@@ -515,7 +523,7 @@ class TestIsomorphism:
             assert agree(g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
             if g.m >= 2:
                 h = swapped(rnd, g, 6)
-                assert h.degree_sequence() == g.degree_sequence()
+                assert degree_sequence(h) == degree_sequence(g)
                 outcomes.append(agree(g, h))
         assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
@@ -542,7 +550,7 @@ class TestNamedGraphs:
     def test_squared_cycle_seven(self):
         g = make_named("C2(7)")
         assert g.n == 7 and g.m == 14
-        assert g.degree_sequence() == (4,) * 7
+        assert degree_sequence(g) == (4,) * 7
 
     def test_wheel(self):
         g = make_named("W5")
@@ -550,7 +558,7 @@ class TestNamedGraphs:
 
     def test_claw(self):
         g = make_named("claw")
-        assert g.n == 4 and g.degree_sequence() == (1, 1, 1, 3)
+        assert g.n == 4 and degree_sequence(g) == (1, 1, 1, 3)
 
     def test_modular_indexing(self):
         g = squared_cycle(6)

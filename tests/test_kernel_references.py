@@ -31,9 +31,15 @@ from tperfect.core import flow as flows
 from tperfect.core.connectivity import _first_side, _low_points, blocks, find_two_separation
 from tperfect.core.graph import edge_key, identify_vertices, path_edges
 from tperfect.corpus import random_subcubic_graph
-from tperfect.errors import GraphInputError, InternalInvariantError, SizeGuardError, check
+from tperfect.errors import (
+    GraphInputError,
+    InternalInvariantError,
+    NotClawFreeError,
+    SizeGuardError,
+    check,
+)
 from tperfect.parity import LinkageQuery, find_two_disjoint_paths, has_two_disjoint_odd_cycles
-from tperfect.recognizer import _reduced_sides
+from tperfect.recognizer import _reduced_sides, is_t_perfect
 from tperfect.theta import (
     _edge_components,
     _one_side_graph,
@@ -257,11 +263,37 @@ class TestLineGraphKernel:
     def test_recognition_matches_reference(self):
         kinds = {"root": 0, "none": 0, "disconnected": 0}
         for g in corpus(11, 3000):
-            got = outcome(recognize_line_graph, g)
+            rm = recognize_line_graph(g)
+            got = None if rm is None else (rm.root, rm.edge_to_vertex)
             assert got == outcome(ref_recognize, g), g.edges
+            # every constructed root passes both independent checkers
+            assert rm is None or (rm.verify_against(g) and ref_verify(rm, g)), g.edges
             kind = "root" if got is not None else "none" if g.is_connected() else "disconnected"
             kinds[kind] += 1
         assert min(kinds.values()) > 200, kinds
+
+    def test_roots_are_used_without_a_recheck(self, monkeypatch):
+        # _root_from_seed proves L(root) == g, so neither the line-graph
+        # layer nor the recognizer asks the independent checker
+        def refuse(rm, g):
+            raise AssertionError("verify_against on the decision path")
+
+        monkeypatch.setattr(RootMapping, "verify_against", refuse)
+        rnd = random.Random(13)
+        blowups = [
+            cycle_blowup([rnd.choice((1, 1, 2)) for _ in range(rnd.randint(4, 10))])
+            for _ in range(200)
+        ]
+        graphs = corpus(11, 3000) + blowups
+        roots = decided = 0
+        for g in graphs:
+            roots += recognize_line_graph(g) is not None
+            try:
+                is_t_perfect(g)
+            except NotClawFreeError:
+                continue
+            decided += 1
+        assert roots > 1000 and decided > 1500, (roots, decided)
 
     def test_every_seed_matches_reference(self):
         # failed candidates too: the partition fails on exactly the same seeds

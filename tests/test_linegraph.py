@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import cycle_blowup
+from conftest import cycle_blowup, degree_sequence
 
 from tperfect.core import (
     Graph,
@@ -34,7 +34,7 @@ class TestLineGraphConstruction:
         # derived: 6 vertices, 12 edges, 4-regular, complement a matching
         g, _ = line_graph(complete_graph(4))
         assert (g.n, g.m) == (6, 12)
-        assert g.degree_sequence() == (4,) * 6
+        assert degree_sequence(g) == (4,) * 6
 
     def test_edgeless_rejected(self):
         with pytest.raises(GraphInputError):

@@ -168,12 +168,16 @@ class TestOracleAgreement:
 
         graphs = enumerate_connected_graphs(6, is_clawfree)
         for g in graphs:
-            assert is_t_perfect(g).t_perfect == is_t_perfect_bruteforce(g), g.edges
+            d = is_t_perfect(g)
+            assert d.t_perfect == is_t_perfect_bruteforce(g), g.edges
+            assert within_call_bound(g, d), g.edges
 
     def test_random_corpus(self):
         corpus = generate_corpus("random-clawfree-via-linegraph", 150, seed=77, n_min=4, n_max=12)
         for g in corpus:
-            assert is_t_perfect(g).t_perfect == is_t_perfect_bruteforce(g), g.edges
+            d = is_t_perfect(g)
+            assert d.t_perfect == is_t_perfect_bruteforce(g), g.edges
+            assert within_call_bound(g, d), g.edges
 
     @pytest.mark.slow
     def test_master_property_exhaustive_to_nine(self, clawfree_to_nine):
@@ -182,7 +186,14 @@ class TestOracleAgreement:
         graphs = clawfree_to_nine
         assert len(graphs) == 5639
         for g in graphs:
-            assert is_t_perfect(g).t_perfect == is_t_perfect_bruteforce(g), g.edges
+            d = is_t_perfect(g)
+            assert d.t_perfect == is_t_perfect_bruteforce(g), g.edges
+            assert within_call_bound(g, d), g.edges
+
+
+def within_call_bound(g, d):
+    """`_decide`'s proven bound: at most 2n - 1 calls on n >= 1 vertices."""
+    return d.stats["decide_calls"] <= 2 * g.n - 1
 
 
 def claw_first_decision(g):
@@ -238,6 +249,7 @@ class TestRootBeforeClawScan:
             g = Graph(n, [(perm[u], perm[v]) for u, v in edges])
             d = is_t_perfect(g)
             assert d.to_json() == claw_first_decision(g).to_json(), g.edges
+            assert within_call_bound(g, d), g.edges
             # the parts are decided as blocks of the whole and conjoined
             assert d.t_perfect == all(is_t_perfect(h).t_perfect for h in parts), g.edges
             first = d.certificate[0]
@@ -294,13 +306,14 @@ class TestRootBeforeClawScan:
             recognizer, "find_two_separation", lambda g: separations.append(g.n) or split(g)
         )
         for _ in range(60):
-            is_t_perfect(cycle_blowup([rnd.choice((1, 1, 2)) for _ in range(rnd.randint(5, 12))]))
+            g = cycle_blowup([rnd.choice((1, 1, 2)) for _ in range(rnd.randint(5, 12))])
+            assert within_call_bound(g, is_t_perfect(g)), g.edges
         for n in (11, 14, 20):
             is_t_perfect(squared_cycle(n))
         assert len(separations) > 60 and searches == []
 
     def test_claw_scans_land_only_on_rootless_graphs(self, monkeypatch):
-        # a verified root means L(root) = child, which has no claw
+        # a root from the line-graph layer means L(root) = child, which has no claw
         rootless, scanned = [], []
 
         def root_of(g):
